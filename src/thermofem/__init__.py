@@ -15,15 +15,14 @@ from .fem import (FEFunction, FESpace, ScalarField, assemble_load, assemble_mass
                   assemble_stiffness, assemble_weighted_stiffness, build_space,
                   constant_field, error_norms, nodal_interpolate, ritz_projection,
                   triangle_rule)
-from .linalg import NoConvergenceError
-from .mesh import (DomainSpec, Mesh, MeshFormatError, build_domain, focused_domain_mesh,
-                   load_mesh, mirror_vertex_map, save_mesh, unit_square_mesh)
+from .mesh import (Mesh, MeshFormatError, focused_domain_mesh, load_mesh, mirror_vertex_map,
+                   save_mesh, unit_square_mesh)
 from .mms import ConvergenceConfig, ManufacturedPair, StudyResult, convergence_study
 from .output import write_snapshot_csv, write_vtk
 from .scenarios import ScenarioConfig, ScenarioResult, run_scenario
 from .stepping import (BDF2, EULER, DegeneracyWarning, FixedPointConfig,
                        FixedPointDivergenceError, SimulationResult, SimulationState,
-                       StepReport, TimeScheme, heat_step, run_simulation,
+                       StepContext, StepReport, TimeScheme, heat_step, run_simulation,
                        scheme_by_name, wave_step)
 
 __version__ = "0.1.0"
@@ -31,15 +30,13 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # mesh
-    "Mesh", "MeshFormatError", "DomainSpec", "build_domain", "unit_square_mesh",
+    "Mesh", "MeshFormatError", "unit_square_mesh",
     "focused_domain_mesh", "mirror_vertex_map", "load_mesh", "save_mesh",
     # fem
     "FESpace", "FEFunction", "ScalarField", "constant_field", "build_space",
     "triangle_rule", "assemble_mass", "assemble_stiffness",
     "assemble_weighted_stiffness", "assemble_load", "ritz_projection",
     "nodal_interpolate", "error_norms",
-    # linalg
-    "NoConvergenceError",
     # coefficients
     "TissueModel", "HeatParams", "EquationVariant", "DegeneracyError",
     "WESTERVELT", "KUZNETSOV", "LINEAR_WAVE",
@@ -48,8 +45,8 @@ __all__ = [
     "absorbed_energy", "derived_heat_params",
     # stepping
     "TimeScheme", "EULER", "BDF2", "scheme_by_name", "FixedPointConfig",
-    "FixedPointDivergenceError", "DegeneracyWarning", "wave_step", "heat_step",
-    "run_simulation", "SimulationState", "SimulationResult", "StepReport",
+    "FixedPointDivergenceError", "DegeneracyWarning", "StepContext", "wave_step",
+    "heat_step", "run_simulation", "SimulationState", "SimulationResult", "StepReport",
     # mms
     "ManufacturedPair", "ConvergenceConfig", "StudyResult", "convergence_study",
     # scenarios / output

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -67,13 +68,13 @@ def _int_list(data: dict, key: str, what: str) -> tuple:
 
 
 _MMS_KEYS = {"variant", "scheme", "degree", "meshes", "tau", "final_time",
-             "solver", "fp_tol", "fp_max_iter"}
+             "fp_tol", "fp_max_iter"}
 
 
 def mms_config_from_dict(data: dict) -> ConvergenceConfig:
     _check_keys(data, _MMS_KEYS, "mms")
     kwargs = {}
-    for key in ("variant", "scheme", "solver"):
+    for key in ("variant", "scheme"):
         if key in data:
             kwargs[key] = _expect(data, key, str, "mms")
     for key in ("degree", "fp_max_iter"):
@@ -90,14 +91,11 @@ def mms_config_from_dict(data: dict) -> ConvergenceConfig:
         raise ConfigError(str(e)) from e
     if len(config.meshes) < 3:
         raise ConfigError("a study needs at least three meshes to observe a rate")
-    if config.solver not in ("direct", "iterative"):
-        raise ConfigError(f"unknown solver {config.solver!r}")
     return config
 
 
 _SCENARIO_KEYS = {"example", "h", "degree", "scheme", "tau", "final_time", "amplitude",
-                  "source_frequency", "snapshots", "projection", "solver",
-                  "fp_tol", "fp_max_iter"}
+                  "source_frequency", "snapshots", "projection", "fp_tol", "fp_max_iter"}
 
 
 def scenario_config_from_dict(data: dict) -> ScenarioConfig:
@@ -107,7 +105,7 @@ def scenario_config_from_dict(data: dict) -> ScenarioConfig:
     kwargs = {"example": _expect(data, "example", int, "scenario")}
     if "degree" in data:
         kwargs["degree"] = _expect(data, "degree", int, "scenario")
-    for key in ("scheme", "projection", "solver"):
+    for key in ("scheme", "projection"):
         if key in data:
             kwargs[key] = _expect(data, key, str, "scenario")
     for key in ("h", "tau", "final_time", "amplitude", "source_frequency", "fp_tol"):
@@ -121,8 +119,6 @@ def scenario_config_from_dict(data: dict) -> ScenarioConfig:
         config = ScenarioConfig(**kwargs)
     except ValueError as e:
         raise ConfigError(str(e)) from e
-    if config.solver not in ("direct", "iterative"):
-        raise ConfigError(f"unknown solver {config.solver!r}")
     if config.resolved_snapshots and max(config.resolved_snapshots) > config.n_steps:
         raise ConfigError(
             f"snapshot index {max(config.resolved_snapshots)} exceeds the "
@@ -144,7 +140,7 @@ def _cmd_mms(args) -> int:
     if args.dry_run:
         print(f"mms study: variant={config.variant} scheme={config.scheme} "
               f"degree={config.degree} meshes={list(config.meshes)} tau={config.tau} "
-              f"final_time={config.final_time} solver={config.solver}")
+              f"final_time={config.final_time}")
         return 0
     result = convergence_study(config, jobs=args.jobs)
     root = _output_root(args)
@@ -186,6 +182,8 @@ def _cmd_scenario(args) -> int:
 
 
 def _cmd_meshgen(args) -> int:
+    if not math.isfinite(args.parameter):
+        raise ConfigError(f"--parameter must be finite, got {args.parameter!r}")
     if args.kind == "unit-square":
         n = int(args.parameter)
         if n != args.parameter or n < 1:

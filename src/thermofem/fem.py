@@ -12,8 +12,7 @@ all polynomials of total degree <= d exactly.  Weights are normalized to
 sum to one, so integrals are area * sum(w * f).
 
 Assembly weights can be analytic fields (ScalarField), finite element
-functions, composites w = f(v_h) with chain-rule gradients, plain numbers,
-or raw per-cell quadrature tables.
+functions, plain numbers, or raw per-cell quadrature tables.
 """
 from __future__ import annotations
 
@@ -36,7 +35,6 @@ __all__ = [
     "FEFunction",
     "ScalarField",
     "constant_field",
-    "ComposedCoefficient",
     "assemble_mass",
     "assemble_stiffness",
     "assemble_weighted_stiffness",
@@ -76,15 +74,6 @@ def constant_field(c: float) -> ScalarField:
         fn=lambda x, t: np.full(x.shape[:-1], c),
         grad=lambda x, t: np.zeros(x.shape),
     )
-
-
-@dataclass(frozen=True)
-class ComposedCoefficient:
-    """Coefficient w(x) = fn(v_h(x)) with gradient dfn(v_h) * grad v_h."""
-
-    base: "FEFunction"
-    fn: Callable
-    dfn: Callable
 
 
 @dataclass(frozen=True)
@@ -425,16 +414,6 @@ def _weight_tables(fev: FEValues, weight, t: float, need_gradient: bool):
             raise ValueError("weight function must live on the assembly space")
         vals = fev.fe_values(weight.values)
         grads = fev.fe_gradients(weight.values) if need_gradient else None
-        return vals, grads
-    if isinstance(weight, ComposedCoefficient):
-        if weight.base.space is not fev.space:
-            raise ValueError("composed coefficient base must live on the assembly space")
-        base_vals = fev.fe_values(weight.base.values)
-        vals = weight.fn(base_vals)
-        grads = None
-        if need_gradient:
-            base_grads = fev.fe_gradients(weight.base.values)
-            grads = weight.dfn(base_vals)[:, :, None] * base_grads
         return vals, grads
     if isinstance(weight, ScalarField):
         pts = fev.points.reshape(-1, 2)

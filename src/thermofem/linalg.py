@@ -1,12 +1,9 @@
-"""Sparse matrices and linear solvers for assembly and time stepping.
+"""Sparse matrices and the linear solver for assembly and time stepping.
 
 Storage is CSR (wrapping scipy.sparse); duplicate triplets are summed on
-construction, matching finite element accumulation semantics.  The solve()
-routine uses diagonally preconditioned Krylov iterations: conjugate
-gradients when the matrix is symmetric, BiCGStab otherwise, with a dense
-LU fallback for small nonsymmetric systems.  A sparse LU factorization
-(factorize) is also provided; the time steppers use it by default because
-their stiffness-dominated systems make diagonal preconditioning slow.
+construction, matching finite element accumulation semantics.  Linear
+systems are solved by sparse LU factorization (factorize); the returned
+solver can be applied to any number of right-hand sides.
 
 Everything here is deterministic: identical inputs produce bit-identical
 outputs, which the reporting layer relies on.
@@ -16,29 +13,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.io
-import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
 __all__ = [
     "SparseMatrix",
     "SolveReport",
-    "NoConvergenceError",
     "sparse_from_triplets",
     "matvec",
-    "solve",
     "factorize",
-    "write_matrix_market",
 ]
-
-
-class NoConvergenceError(RuntimeError):
-    """Krylov iteration failed; carries the best relative residual seen."""
-
-    def __init__(self, message: str, best_residual: float):
-        super().__init__(f"{message} (best relative residual {best_residual:.3e})")
-        self.best_residual = best_residual
 
 
 @dataclass(frozen=True)
@@ -92,19 +76,11 @@ class SparseMatrix:
 
     __rmul__ = __mul__
 
-    def diagonal(self) -> np.ndarray:
-        return self._csr.diagonal()
-
     def to_dense(self) -> np.ndarray:
         return self._csr.toarray()
 
     def submatrix(self, rows, cols) -> "SparseMatrix":
         return SparseMatrix(self._csr[rows][:, cols])
-
-    def is_symmetric(self) -> bool:
-        if self.shape[0] != self.shape[1]:
-            return False
-        return (self._csr != self._csr.T).nnz == 0
 
     def scipy(self):
         return self._csr
@@ -151,145 +127,6 @@ def _norm(v) -> float:
     return float(np.linalg.norm(v))
 
 
-def solve(a: SparseMatrix, b, tol: float = 1e-12, max_iter: int | None = None,
-          sym: bool | None = None, x0=None) -> tuple[np.ndarray, SolveReport]:
-    """Solve a x = b to relative residual <= tol.
-
-    Symmetric systems use diagonally preconditioned conjugate gradients,
-    nonsymmetric ones BiCGStab with the same preconditioner and a dense LU
-    fallback for dimensions <= 2000.  Raises NoConvergenceError with the
-    best residual reached when everything fails.
-    """
-    n = a.shape[0]
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
-    b = np.asarray(b, dtype=np.float64)
-    if b.shape != (n,):
-        raise ValueError(f"right-hand side shape {b.shape} does not match matrix dimension {n}")
-    if not (0.0 < tol <= 1e-6):
-        raise ValueError(f"tol must lie in (0, 1e-6], got {tol!r}")
-    if max_iter is None:
-        max_iter = 10 * n + 200
-
-    norm_b = _norm(b)
-    if norm_b == 0.0:
-        return np.zeros(n), SolveReport(0, 0.0, "trivial")
-
-    if sym is None:
-        sym = a.is_symmetric()
-
-    diag = a.diagonal().copy()
-    diag[diag == 0.0] = 1.0
-    inv_diag = 1.0 / diag
-    csr = a.scipy()
-
-    if sym:
-        x, its, res = _pcg(csr, b, inv_diag, tol, max_iter, x0)
-        if res <= tol:
-            return x, SolveReport(its, res, "cg")
-        raise NoConvergenceError(f"CG did not converge in {its} iterations", res)
-
-    x, its, res = _bicgstab(csr, b, inv_diag, tol, max_iter, x0)
-    if res <= tol:
-        return x, SolveReport(its, res, "bicgstab")
-    if n <= 2000:
-        xd = scipy.linalg.solve(a.to_dense(), b)
-        res_d = _norm(b - csr @ xd) / norm_b
-        if res_d <= tol or res_d < res:
-            if res_d <= tol:
-                return xd, SolveReport(its, res_d, "dense-lu")
-            res = res_d
-    raise NoConvergenceError(f"BiCGStab did not converge in {its} iterations", res)
-
-
-def _pcg(a, b, inv_diag, tol, max_iter, x0):
-    norm_b = _norm(b)
-    x = np.zeros(b.shape[0]) if x0 is None else np.array(x0, dtype=np.float64)
-    r = b - a @ x
-    z = inv_diag * r
-    p = z.copy()
-    rz = float(r @ z)
-    best_res = _norm(r) / norm_b
-    if best_res <= tol:
-        return x, 0, best_res
-    for it in range(1, max_iter + 1):
-        ap = a @ p
-        pap = float(p @ ap)
-        if pap <= 0.0 or not np.isfinite(pap):
-            break  # matrix is not positive definite on this subspace
-        alpha = rz / pap
-        x = x + alpha * p
-        r = r - alpha * ap
-        res = _norm(r) / norm_b
-        if res < best_res:
-            best_res = res
-        if res <= tol:
-            true_res = _norm(b - a @ x) / norm_b
-            if true_res <= tol:
-                return x, it, true_res
-            r = b - a @ x  # recursion drifted; restart from the true residual
-        z = inv_diag * r
-        rz_new = float(r @ z)
-        beta = rz_new / rz
-        rz = rz_new
-        p = z + beta * p
-    return x, max_iter, _norm(b - a @ x) / norm_b
-
-
-def _bicgstab(a, b, inv_diag, tol, max_iter, x0):
-    norm_b = _norm(b)
-    x = np.zeros(b.shape[0]) if x0 is None else np.array(x0, dtype=np.float64)
-    r = b - a @ x
-    res = _norm(r) / norm_b
-    if res <= tol:
-        return x, 0, res
-    r_hat = r.copy()
-    rho = alpha = omega = 1.0
-    v = np.zeros_like(b)
-    p = np.zeros_like(b)
-    best_res = res
-    for it in range(1, max_iter + 1):
-        rho_new = float(r_hat @ r)
-        if rho_new == 0.0 or omega == 0.0:
-            break  # breakdown
-        beta = (rho_new / rho) * (alpha / omega)
-        rho = rho_new
-        p = r + beta * (p - omega * v)
-        p_hat = inv_diag * p
-        v = a @ p_hat
-        denom = float(r_hat @ v)
-        if denom == 0.0:
-            break
-        alpha = rho / denom
-        s = r - alpha * v
-        if _norm(s) / norm_b <= tol:
-            x = x + alpha * p_hat
-            true_res = _norm(b - a @ x) / norm_b
-            best_res = min(best_res, true_res)
-            if true_res <= tol:
-                return x, it, true_res
-            r = b - a @ x
-            continue
-        s_hat = inv_diag * s
-        t = a @ s_hat
-        tt = float(t @ t)
-        if tt == 0.0:
-            break
-        omega = float(t @ s) / tt
-        x = x + alpha * p_hat + omega * s_hat
-        r = s - omega * t
-        res = _norm(r) / norm_b
-        if res < best_res:
-            best_res = res
-        if res <= tol:
-            true_res = _norm(b - a @ x) / norm_b
-            best_res = min(best_res, true_res)
-            if true_res <= tol:
-                return x, it, true_res
-            r = b - a @ x
-    return x, max_iter, min(best_res, _norm(b - a @ x) / norm_b)
-
-
 class _LUSolver:
     __slots__ = ("_lu", "_a", "n")
 
@@ -317,7 +154,3 @@ def factorize(a: SparseMatrix) -> _LUSolver:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     return _LUSolver(a)
 
-
-def write_matrix_market(a: SparseMatrix, path) -> None:
-    """Dump a matrix in Matrix Market coordinate format (debugging aid)."""
-    scipy.io.mmwrite(str(path), a.scipy())

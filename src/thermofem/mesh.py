@@ -14,7 +14,6 @@ exactly one triangle is a boundary edge).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,14 +21,12 @@ import numpy as np
 __all__ = [
     "Mesh",
     "MeshFormatError",
-    "DomainSpec",
     "unit_square_mesh",
     "focused_domain_mesh",
     "focused_domain_contains",
     "mirror_vertex_map",
     "load_mesh",
     "save_mesh",
-    "build_domain",
 ]
 
 # Focused-transducer domain: x1 > X_LEFT, |x2| < Y_HALF, |x| < ARC_RADIUS.
@@ -242,41 +239,6 @@ def mirror_vertex_map(mesh: Mesh, axis: float = 0.0) -> np.ndarray:
             raise ValueError(f"mesh is not mirror-symmetric: vertex {i} has no partner")
         out[i] = lookup[key]
     return out
-
-
-@dataclass(frozen=True)
-class DomainSpec:
-    """Declarative domain description used by configs and the CLI.
-
-    kind is one of "unit-square" (parameter: subdivision count),
-    "focused-transducer" (parameter: target mesh size), or "external-file"
-    (parameter: mesh file path).
-    """
-
-    kind: str
-    parameter: object
-
-    def __post_init__(self):
-        if self.kind == "unit-square":
-            if not isinstance(self.parameter, (int, np.integer)) or self.parameter < 1:
-                raise ValueError("unit-square domain needs a positive integer subdivision count")
-        elif self.kind == "focused-transducer":
-            p = self.parameter
-            if not isinstance(p, (int, float)) or not (0.0 < float(p) < ARC_RADIUS):
-                raise ValueError(f"focused-transducer domain needs a mesh size in (0, {ARC_RADIUS})")
-        elif self.kind == "external-file":
-            if not isinstance(self.parameter, (str, Path)):
-                raise ValueError("external-file domain needs a file path")
-        else:
-            raise ValueError(f"unknown domain kind {self.kind!r}")
-
-
-def build_domain(spec: DomainSpec) -> Mesh:
-    if spec.kind == "unit-square":
-        return unit_square_mesh(int(spec.parameter))
-    if spec.kind == "focused-transducer":
-        return focused_domain_mesh(float(spec.parameter))
-    return load_mesh(spec.parameter)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .coefficients import (HeatParams, LIVER_QUADRATIC, TissueModel, absorption_
 from .fem import FEFunction, FESpace, ScalarField, build_space, error_norms
 from .mesh import unit_square_mesh
 from .stepping import (FixedPointConfig, SimulationState, delta1, run_simulation,
-                       scheme_by_name)
+                       scheme_by_name, step_count)
 
 __all__ = [
     "ManufacturedPair",
@@ -185,7 +185,6 @@ class ConvergenceConfig:
     meshes: tuple = (8, 16, 32, 64)
     tau: float = 1.0 / 128.0
     final_time: float = 1.0
-    solver: str = "direct"
     fp_tol: float = 1e-10
     fp_max_iter: int = 100
     model: TissueModel = LIVER_QUADRATIC
@@ -201,6 +200,8 @@ class ConvergenceConfig:
             raise ValueError("a convergence study needs at least two meshes")
         if any(int(n) < 1 for n in self.meshes):
             raise ValueError("mesh subdivision counts must be positive")
+        step_count(self.final_time, self.tau)
+        FixedPointConfig(tol=self.fp_tol, max_iter=self.fp_max_iter)
 
 
 @dataclass(frozen=True)
@@ -235,7 +236,6 @@ def single_mesh_run(config: ConvergenceConfig, n: int) -> MeshRow:
         wave_source=pair.wave_source(variant, config.model),
         heat_source=pair.heat_source(variant, config.model, config.heat),
         fp=FixedPointConfig(tol=config.fp_tol, max_iter=config.fp_max_iter),
-        solver=config.solver,
     )
     e_tau, e_l2 = total_error(result.state, pair, scheme)
     max_it = max(r.iterations for r in result.reports)

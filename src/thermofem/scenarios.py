@@ -26,10 +26,10 @@ import numpy as np
 
 from .coefficients import (KUZNETSOV, LIVER_QUINTIC, WESTERVELT, derived_heat_params)
 from .fem import ScalarField, build_space
-from .mesh import focused_domain_mesh
+from .mesh import ARC_RADIUS, focused_domain_mesh
 from .output import write_snapshot_csv, write_vtk
 from .stepping import (FixedPointConfig, SimulationResult, run_simulation,
-                       scheme_by_name, write_step_reports)
+                       scheme_by_name, step_count, write_step_reports)
 
 __all__ = [
     "TRANSDUCER_RADIUS",
@@ -140,31 +140,29 @@ class ScenarioConfig:
     source_frequency: float = 1.0e5
     snapshots: tuple | None = None  # None: per-example default
     projection: str = "nodal"  # how example-2 initial data become dof vectors
-    solver: str = "direct"
     fp_tol: float = 1e-10
     fp_max_iter: int = 100
 
     def __post_init__(self):
         if self.example not in (2, 3):
             raise ValueError("example must be 2 or 3")
+        if not 0.0 < self.h < ARC_RADIUS:
+            raise ValueError(f"h must lie in (0, {ARC_RADIUS}), got {self.h!r}")
         if self.degree not in (1, 2, 3):
             raise ValueError("degree must be 1, 2 or 3")
         scheme_by_name(self.scheme)
-        if self.tau <= 0.0:
-            raise ValueError("tau must be positive")
-        ratio = self.final_time / self.tau
-        if round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9 * max(1.0, round(ratio)):
-            raise ValueError("final_time must be a positive integer multiple of tau")
+        step_count(self.final_time, self.tau)
         if self.amplitude is not None and self.amplitude < 0.0:
             raise ValueError("amplitude must be nonnegative")
         if self.source_frequency <= 0.0:
             raise ValueError("source_frequency must be positive")
         if self.projection not in ("nodal", "ritz"):
             raise ValueError(f"unknown projection {self.projection!r}")
+        FixedPointConfig(tol=self.fp_tol, max_iter=self.fp_max_iter)
 
     @property
     def n_steps(self) -> int:
-        return round(self.final_time / self.tau)
+        return step_count(self.final_time, self.tau)
 
     @property
     def resolved_amplitude(self) -> float:
@@ -249,7 +247,6 @@ def run_scenario(config: ScenarioConfig, output_dir=None) -> ScenarioResult:
         fp=FixedPointConfig(tol=config.fp_tol, max_iter=config.fp_max_iter),
         snapshot_indices=config.resolved_snapshots,
         on_snapshot=hook,
-        solver=config.solver,
     )
 
     summary = {

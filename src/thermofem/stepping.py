@@ -14,12 +14,13 @@ combinations: implicit Euler (weights 1, 1) and BDF2 (weights 3/2, 2).
 A BDF2 run takes its first step with Euler weights; the missing earlier
 wave level is backfilled as u^{-1} = u^0 - tau * u^1.
 
-Linear systems are solved with a sparse LU factorization by default
-("direct"); diagonally preconditioned Krylov iterations remain available
-("iterative") but are much slower on these stiffness-dominated systems.
+Each step first builds a StepContext holding everything frozen over the
+step (coefficient tables at theta^n, history combinations, t_{n+1}); the
+wave and heat steps read their data from it.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -39,13 +40,14 @@ __all__ = [
     "scheme_by_name",
     "delta1",
     "delta2",
-    "history_combos",
+    "step_count",
     "FixedPointConfig",
     "FixedPointDivergenceError",
     "DegeneracyWarning",
     "StepReport",
     "SimulationState",
     "SimulationResult",
+    "StepContext",
     "wave_step",
     "heat_step",
     "run_simulation",
@@ -114,8 +116,17 @@ def delta2(scheme: TimeScheme, history: Sequence[np.ndarray]) -> np.ndarray:
     return 5.0 * np.asarray(history[0]) - 4.0 * np.asarray(history[1]) + np.asarray(history[2])
 
 
-def history_combos(scheme: TimeScheme, history: Sequence[np.ndarray]):
-    return delta1(scheme, history), delta2(scheme, history)
+def step_count(final_time: float, tau: float) -> int:
+    """Number of steps of size tau that reach final_time; rejects a
+    final_time that is not a positive integer multiple of tau."""
+    if not tau > 0.0:
+        raise ValueError("tau must be positive")
+    ratio = final_time / tau
+    n_steps = round(ratio) if math.isfinite(ratio) else 0
+    if n_steps < 1 or abs(ratio - n_steps) > 1e-9 * max(1.0, n_steps):
+        raise ValueError(f"final_time {final_time!r} is not a positive integer multiple "
+                         f"of tau {tau!r}")
+    return n_steps
 
 
 @dataclass(frozen=True)
@@ -175,24 +186,26 @@ def _effective_scheme(scheme: TimeScheme, step: int) -> TimeScheme:
     return scheme
 
 
-class _StepContext:
-    """Per-step frozen data: coefficient tables at theta^n and the parts of
-    the wave system that do not change across fixed-point iterations."""
+class StepContext:
+    """Frozen data of one time step, shared by its wave and heat halves:
+    coefficient tables at theta^n, the history combinations, t_{n+1}, and
+    the parts of the wave system that do not change across fixed-point
+    iterations."""
 
     def __init__(self, state: SimulationState, scheme: TimeScheme, variant: EquationVariant,
-                 model: TissueModel, wave_source, solver: str, solver_tol: float):
+                 model: TissueModel, wave_source=None):
         space = state.space
         tau = state.tau
         self.space = space
         self.tau = tau
+        self.step_index = state.step + 1
         self.scheme = _effective_scheme(scheme, state.step)
         self.variant = variant
         self.model = model
-        self.solver = solver
-        self.solver_tol = solver_tol
         self.fev = space.values()
         self.mass = space.mass_matrix()
         self.interior = space.interior_dofs
+        self.u_prev = state.u[0]
 
         theta_n = state.theta[0]
         self.theta_cell = self.fev.fe_values(theta_n)
@@ -201,18 +214,17 @@ class _StepContext:
         b_vals, db = coef.beta_of_theta(model, self.theta_cell, derivative=True)
         s_q = fem.assemble_weighted_stiffness(space, (q_vals, dq[:, :, None] * theta_grad))
         s_b = fem.assemble_weighted_stiffness(space, (b_vals, db[:, :, None] * theta_grad))
-        self.s_beta = s_b
 
         k_w, k_k = coef.k_coefficients(model, self.theta_cell)
         self.k_cell = k_w if variant.tag == "westervelt" else k_k
 
         self.d1u = delta1(self.scheme, state.u)
         self.d2u = delta2(self.scheme, state.u)
+        self.d1theta = delta1(self.scheme, state.theta)
         self.stiff_frozen = (tau * tau) * s_q + (tau * self.scheme.lead1) * s_b
         self.sb_d1 = s_b @ self.d1u
-        t_next = state.time + tau
-        self.t_next = t_next
-        self.f_load = fem.assemble_load(space, wave_source, t_next)
+        self.t_next = state.time + tau
+        self.f_load = fem.assemble_load(space, wave_source, self.t_next)
 
     def nonlinearity(self, u_vec: np.ndarray):
         """Quasilinear factor N1 and remainder N2 tables at the iterate."""
@@ -234,17 +246,8 @@ class _StepContext:
             n2 = 2.0 * np.einsum("cqe,cqe->cq", gu, gut)
         return n1, n2
 
-    def solve(self, a: linalg.SparseMatrix, rhs: np.ndarray, x0: np.ndarray) -> tuple[np.ndarray, SolveReport]:
-        if self.solver == "direct":
-            return linalg.factorize(a).solve_with_report(rhs)
-        return linalg.solve(a, rhs, tol=self.solver_tol, sym=False, x0=x0)
 
-
-def wave_step(state: SimulationState, scheme: TimeScheme, variant: EquationVariant,
-              model: TissueModel, fp: FixedPointConfig, wave_source=None, *,
-              solver: str = "direct", solver_tol: float = 1e-12,
-              context: _StepContext | None = None,
-              warn_threshold: float = 0.1):
+def wave_step(ctx: StepContext, fp: FixedPointConfig, *, warn_threshold: float = 0.1):
     """Advance the wave field one step; returns (u_new, step info dict).
 
     The fixed point starts from the previous level.  It stops when the
@@ -253,13 +256,12 @@ def wave_step(state: SimulationState, scheme: TimeScheme, variant: EquationVaria
     stop changing, in which case the next solve would reproduce the
     current iterate exactly.
     """
-    ctx = context or _StepContext(state, scheme, variant, model, wave_source, solver, solver_tol)
     space = ctx.space
     tau = ctx.tau
     idx = ctx.interior
     lead2 = ctx.scheme.lead2
 
-    u_i = state.u[0].copy()
+    u_i = ctx.u_prev.copy()
     n1, n2 = ctx.nonlinearity(u_i)
     n1_min = float(n1.min())
     increments = []
@@ -269,7 +271,7 @@ def wave_step(state: SimulationState, scheme: TimeScheme, variant: EquationVaria
     for it in range(1, fp.max_iter + 1):
         if n1_min <= 0.0:
             raise DegeneracyError(
-                f"quasilinear factor lost positivity (min {n1_min:.3e}) at step {state.step + 1}"
+                f"quasilinear factor lost positivity (min {n1_min:.3e}) at step {ctx.step_index}"
             )
         if n1_min < warn_threshold:
             warnings.warn(
@@ -281,7 +283,7 @@ def wave_step(state: SimulationState, scheme: TimeScheme, variant: EquationVaria
         a_full = lead2 * m_n1 + ctx.stiff_frozen
         rhs = m_n1 @ ctx.d2u + base_rhs - (tau * tau) * fem.assemble_load(space, n2)
         a_ii = a_full.submatrix(idx, idx)
-        x, rep = ctx.solve(a_ii, rhs[idx], u_i[idx])
+        x, rep = linalg.factorize(a_ii).solve_with_report(rhs[idx])
         solves.append(rep)
         u_next = np.zeros(space.n_dofs)
         u_next[idx] = x
@@ -291,73 +293,50 @@ def wave_step(state: SimulationState, scheme: TimeScheme, variant: EquationVaria
         rel = inc / norm_new if norm_new > 0.0 else inc
         increments.append(rel)
         if rel < fp.tol:
-            return u_next, {"iterations": it, "increments": tuple(increments),
-                            "n1_min": n1_min, "solves": tuple(solves), "context": ctx}
+            break
         n1_next, n2_next = ctx.nonlinearity(u_next)
         n1_min = min(n1_min, float(n1_next.min()))
         if np.array_equal(n1_next, n1) and np.array_equal(n2_next, n2):
             # The system is stationary in the iterate: one more solve would
             # return u_next bit for bit, so the fixed point is reached.
-            return u_next, {"iterations": it, "increments": tuple(increments),
-                            "n1_min": n1_min, "solves": tuple(solves), "context": ctx}
+            break
         u_i, n1, n2 = u_next, n1_next, n2_next
+    else:
+        raise FixedPointDivergenceError(fp.max_iter, increments[-1])
+    return u_next, {"iterations": it, "increments": tuple(increments),
+                    "n1_min": n1_min, "solves": tuple(solves)}
 
-    raise FixedPointDivergenceError(fp.max_iter, increments[-1])
 
-
-def heat_step(state: SimulationState, u_new: np.ndarray, scheme: TimeScheme,
-              variant: EquationVariant, model: TissueModel, heat: HeatParams,
-              heat_source=None, *, solver: str = "direct", solver_tol: float = 1e-12,
-              context: _StepContext | None = None, factor_cache: dict | None = None):
+def heat_step(ctx: StepContext, u_new: np.ndarray, heat: HeatParams, factor_cache: dict,
+              heat_source=None):
     """Advance the temperature one step; returns (theta_new, SolveReport).
 
     The absorbed energy is evaluated from the new wave level, its discrete
-    time derivative, and the previous temperature.
+    time derivative, and the previous temperature.  The factorized heat
+    matrix is kept in factor_cache, keyed by the scheme's leading weight.
     """
-    space = state.space
-    tau = state.tau
-    eff = _effective_scheme(scheme, state.step)
-    fev = space.values()
-    idx = space.interior_dofs
-    mass = space.mass_matrix()
+    space = ctx.space
+    tau = ctx.tau
+    eff = ctx.scheme
+    idx = ctx.interior
 
-    if context is not None:
-        theta_cell = context.theta_cell
-        d1u = context.d1u
-        t_next = context.t_next
-    else:
-        theta_cell = fev.fe_values(state.theta[0])
-        d1u = delta1(eff, state.u)
-        t_next = state.time + tau
-
-    ut_new = (eff.lead1 * u_new - d1u) / tau
-    u_cell = fev.fe_values(u_new)
-    ut_cell = fev.fe_values(ut_new)
-    a1, a2 = coef.absorption_weights(variant, model, theta_cell)
-    q_cell = a1 * u_cell * u_cell + a2 * ut_cell * ut_cell
+    ut_new = (eff.lead1 * u_new - ctx.d1u) / tau
+    u_cell = ctx.fev.fe_values(u_new)
+    ut_cell = ctx.fev.fe_values(ut_new)
+    q_cell = coef.absorbed_energy(ctx.variant, ctx.model, u_cell, ut_cell, ctx.theta_cell)
 
     load = fem.assemble_load(space, q_cell)
     if heat_source is not None:
-        load = load + fem.assemble_load(space, heat_source, t_next)
-    rhs = mass @ delta1(eff, state.theta) + tau * load
+        load = load + fem.assemble_load(space, heat_source, ctx.t_next)
+    rhs = ctx.mass @ ctx.d1theta + tau * load
 
     key = eff.lead1
-    if factor_cache is not None and key in factor_cache:
-        solve_ii = factor_cache[key]
-    else:
+    if key not in factor_cache:
         stiff = space.stiffness_matrix()
-        h_full = (eff.lead1 + tau * heat.nu) * mass + (tau * heat.kappa) * stiff
-        h_ii = h_full.submatrix(idx, idx)
-        if solver == "direct":
-            lu = linalg.factorize(h_ii)
-            solve_ii = lu.solve_with_report
-        else:
-            def solve_ii(b, _h=h_ii, _tol=solver_tol):
-                return linalg.solve(_h, b, tol=_tol, sym=True)
-        if factor_cache is not None:
-            factor_cache[key] = solve_ii
+        h_full = (eff.lead1 + tau * heat.nu) * ctx.mass + (tau * heat.kappa) * stiff
+        factor_cache[key] = linalg.factorize(h_full.submatrix(idx, idx))
 
-    x, rep = solve_ii(rhs[idx])
+    x, rep = factor_cache[key].solve_with_report(rhs[idx])
     theta_new = np.zeros(space.n_dofs)
     theta_new[idx] = x
     return theta_new, rep
@@ -389,7 +368,6 @@ def run_simulation(space: FESpace, *, scheme: TimeScheme, variant: EquationVaria
                    fp: FixedPointConfig = FixedPointConfig(),
                    snapshot_indices: Sequence[int] = (),
                    on_snapshot: Callable | None = None,
-                   solver: str = "direct", solver_tol: float = 1e-12,
                    warn_threshold: float = 0.1) -> SimulationResult:
     """Integrate the coupled system from t = 0.
 
@@ -397,17 +375,12 @@ def run_simulation(space: FESpace, *, scheme: TimeScheme, variant: EquationVaria
     FEFunctions, or raw coefficient vectors.  Snapshot hooks receive
     (step_index, time, u_h, theta_h) with independent copies.
     """
-    if tau <= 0.0:
+    if not tau > 0.0:
         raise ValueError("tau must be positive")
     if (n_steps is None) == (final_time is None):
         raise ValueError("specify exactly one of n_steps and final_time")
     if n_steps is None:
-        ratio = final_time / tau
-        n_steps = round(ratio)
-        if n_steps < 1 or abs(ratio - n_steps) > 1e-9 * max(1.0, n_steps):
-            raise ValueError(f"final_time {final_time!r} is not an integer multiple of tau {tau!r}")
-    if solver not in ("direct", "iterative"):
-        raise ValueError(f"unknown solver {solver!r}")
+        n_steps = step_count(final_time, tau)
 
     u0_vec = _project(space, u0, projection)
     u1_vec = _project(space, u1, projection)
@@ -433,13 +406,9 @@ def run_simulation(space: FESpace, *, scheme: TimeScheme, variant: EquationVaria
 
     for n in range(n_steps):
         try:
-            ctx = _StepContext(state, scheme, variant, model, wave_source, solver, solver_tol)
-            u_new, info = wave_step(state, scheme, variant, model, fp, wave_source,
-                                    solver=solver, solver_tol=solver_tol, context=ctx,
-                                    warn_threshold=warn_threshold)
-            theta_new, heat_rep = heat_step(state, u_new, scheme, variant, model, heat,
-                                            heat_source, solver=solver, solver_tol=solver_tol,
-                                            context=ctx, factor_cache=heat_factors)
+            ctx = StepContext(state, scheme, variant, model, wave_source)
+            u_new, info = wave_step(ctx, fp, warn_threshold=warn_threshold)
+            theta_new, heat_rep = heat_step(ctx, u_new, heat, heat_factors, heat_source)
         except Exception as e:
             e.step_index = n + 1
             if hasattr(e, "add_note"):

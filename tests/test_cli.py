@@ -47,6 +47,9 @@ class TestConfigParsing:
         cfg = write_config(tmp_path, dict(TINY_MMS, mesh_sizes=[2, 4, 8]))
         assert main(["mms", "--config", cfg, "--dry-run"]) == 2
         assert "mesh_sizes" in capsys.readouterr().err
+        cfg = write_config(tmp_path, dict(TINY_MMS, solver="direct"))  # not configurable
+        assert main(["mms", "--config", cfg, "--dry-run"]) == 2
+        assert "solver" in capsys.readouterr().err
 
     def test_wrong_type_rejected(self, tmp_path):
         cfg = write_config(tmp_path, dict(TINY_MMS, tau="small"))
@@ -61,8 +64,9 @@ class TestConfigParsing:
             mms_config_from_dict(dict(TINY_MMS, meshes=[]))
 
     def test_scenario_unknown_key(self, tmp_path):
-        cfg = write_config(tmp_path, {"example": 2, "mesh": 1.0})
-        assert main(["scenario", "--config", cfg, "--dry-run"]) == 2
+        for data in ({"example": 2, "mesh": 1.0}, {"example": 2, "solver": "direct"}):
+            cfg = write_config(tmp_path, data)
+            assert main(["scenario", "--config", cfg, "--dry-run"]) == 2
 
     def test_scenario_needs_example(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"h": 3e-3})
@@ -73,6 +77,19 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="snapshot"):
             scenario_config_from_dict({"example": 2, "final_time": 1e-6,
                                        "snapshots": [99]})
+
+    def test_dry_run_rejects_bad_values(self, tmp_path, capsys):
+        # values that pass the type checks but cannot run fail before compute
+        for data in ({"tau": -1, "fp_tol": 5}, {"tau": 0.3, "final_time": 1},
+                     dict(TINY_MMS, fp_max_iter=0)):
+            cfg = write_config(tmp_path, data)
+            assert main(["mms", "--config", cfg, "--dry-run"]) == 2
+        for data in ({"example": 2, "h": -1, "fp_tol": 5, "fp_max_iter": 0},
+                     {"example": 3, "h": 0.05}, {"example": 2, "fp_tol": 5},
+                     {"example": 2, "fp_max_iter": 0}):
+            cfg = write_config(tmp_path, data)
+            assert main(["scenario", "--config", cfg, "--dry-run"]) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_booleans_are_not_numbers(self):
         with pytest.raises(ConfigError, match="degree"):
@@ -193,6 +210,8 @@ class TestMeshgenCommand:
     def test_unit_square_rejects_bad_parameter(self, capsys):
         assert main(["meshgen", "--kind", "unit-square", "--parameter", "0"]) == 2
         assert main(["meshgen", "--kind", "unit-square", "--parameter", "2.5"]) == 2
+        for value in ("nan", "inf"):
+            assert main(["meshgen", "--kind", "unit-square", "--parameter", value]) == 2
 
     def test_focused_round_trip(self, tmp_path):
         assert main(["meshgen", "--kind", "focused-transducer", "--parameter", "3e-3",
@@ -206,6 +225,7 @@ class TestMeshgenCommand:
 
     def test_focused_rejects_bad_parameter(self):
         assert main(["meshgen", "--kind", "focused-transducer", "--parameter", "0"]) == 2
+        assert main(["meshgen", "--kind", "focused-transducer", "--parameter", "nan"]) == 2
 
 
 class TestOutputRoot:

@@ -3,16 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from thermofem.fem import build_space
-from thermofem.linalg import (NoConvergenceError, SparseMatrix, factorize, matvec, solve,
-                              sparse_from_triplets, write_matrix_market)
+from thermofem.linalg import factorize, matvec, sparse_from_triplets
 from thermofem.mesh import unit_square_mesh
-
-
-def _random_spd(rng, n):
-    a = rng.standard_normal((n, n))
-    dense = a @ a.T + n * np.eye(n)
-    return SparseMatrix.from_dense(dense) if hasattr(SparseMatrix, "from_dense") \
-        else _from_dense(dense)
 
 
 def _from_dense(dense):
@@ -75,18 +67,20 @@ class TestMatvec:
 
 
 class TestSolve:
+    """Solving through the sparse LU factorization, the only linear solver."""
+
     def test_identity(self, rng):
         a = sparse_from_triplets(5, 5, [(i, i, 1.0) for i in range(5)])
         b = rng.standard_normal(5)
-        x, rep = solve(a, b, tol=1e-12)
+        x, rep = factorize(a).solve_with_report(b)
         assert np.allclose(x, b, rtol=1e-12)
-        assert rep.iterations <= 1
+        assert rep.iterations == 1
 
     def test_mass_matrix_matches_dense_lu(self, rng):
         space = build_space(unit_square_mesh(4), 1)
         m = space.mass_matrix()
         b = rng.standard_normal(m.shape[0])
-        x, rep = solve(m, b, tol=1e-12)
+        x = factorize(m)(b)
         res = np.linalg.norm(b - matvec(m, x)) / np.linalg.norm(b)
         assert res <= 1e-12
         oracle = np.linalg.solve(m.to_dense(), b)
@@ -94,26 +88,19 @@ class TestSolve:
 
     def test_zero_rhs(self):
         a = sparse_from_triplets(3, 3, [(i, i, 2.0) for i in range(3)])
-        x, rep = solve(a, np.zeros(3))
+        x, rep = factorize(a).solve_with_report(np.zeros(3))
         assert np.array_equal(x, np.zeros(3))
+        assert rep.relative_residual == 0.0
 
     def test_singular_zero_matrix(self):
         a = sparse_from_triplets(3, 3, [])
-        with pytest.raises(NoConvergenceError) as exc:
-            solve(a, np.ones(3), tol=1e-12, max_iter=20)
-        assert exc.value.best_residual >= 0.0
-
-    def test_tol_validation(self):
-        a = sparse_from_triplets(2, 2, [(0, 0, 1.0), (1, 1, 1.0)])
-        with pytest.raises(ValueError):
-            solve(a, np.ones(2), tol=1e-3)  # above the 1e-6 cap
-        with pytest.raises(ValueError):
-            solve(a, np.ones(2), tol=0.0)
+        with pytest.raises(RuntimeError, match="singular"):
+            factorize(a)
 
     def test_non_square_rejected(self):
         a = sparse_from_triplets(2, 3, [(0, 0, 1.0)])
         with pytest.raises(ValueError):
-            solve(a, np.ones(2))
+            factorize(a)
 
     def test_deterministic(self, rng):
         n = 40
@@ -121,15 +108,15 @@ class TestSolve:
         dense = raw @ raw.T + n * np.eye(n)
         a = _from_dense(dense)
         b = rng.standard_normal(n)
-        x1, _ = solve(a, b, tol=1e-12)
-        x2, _ = solve(a, b, tol=1e-12)
+        x1 = factorize(a)(b)
+        x2 = factorize(a)(b)
         assert np.array_equal(x1, x2)
 
     def test_report_residual_recomputable(self, rng):
         space = build_space(unit_square_mesh(3), 1)
         m = space.mass_matrix()
         b = rng.standard_normal(m.shape[0])
-        x, rep = solve(m, b, tol=1e-12)
+        x, rep = factorize(m).solve_with_report(b)
         res = np.linalg.norm(b - matvec(m, x)) / np.linalg.norm(b)
         assert rep.relative_residual == pytest.approx(res, abs=1e-13)
 
@@ -140,7 +127,7 @@ class TestSolve:
             dense = raw @ raw.T + n * np.eye(n)
             a = _from_dense(dense)
             b = rng.standard_normal(n)
-            x, rep = solve(a, b, tol=1e-12)
+            x = factorize(a)(b)
             assert np.linalg.norm(b - dense @ x) / np.linalg.norm(b) <= 1e-11
 
     def test_random_nonsymmetric_instances(self, rng):
@@ -150,7 +137,7 @@ class TestSolve:
             dense += np.diag(np.abs(dense).sum(axis=1) + 1.0)  # diagonally dominant
             a = _from_dense(dense)
             b = rng.standard_normal(n)
-            x, rep = solve(a, b, tol=1e-12)
+            x = factorize(a)(b)
             assert np.linalg.norm(b - dense @ x) / np.linalg.norm(b) <= 1e-11
 
     def test_larger_nonsymmetric(self, rng):
@@ -162,7 +149,7 @@ class TestSolve:
         dense[idx[1:], idx[1:] - 1] = -0.8
         a = _from_dense(dense)
         b = rng.standard_normal(n)
-        x, _ = solve(a, b, tol=1e-12)
+        x = factorize(a)(b)
         assert np.linalg.norm(b - dense @ x) / np.linalg.norm(b) <= 1e-11
 
 
@@ -184,19 +171,6 @@ class TestFactorize:
         assert rep.relative_residual <= 1e-12
 
 
-class TestMatrixMarket:
-    def test_roundtrip(self, tmp_path, rng):
-        import scipy.io
-
-        dense = rng.standard_normal((4, 4))
-        dense[np.abs(dense) < 0.5] = 0.0
-        a = _from_dense(dense)
-        p = tmp_path / "a.mtx"
-        write_matrix_market(a, p)
-        back = scipy.io.mmread(p).toarray()
-        assert back == pytest.approx(a.to_dense(), rel=1e-15, abs=1e-15)
-
-
 @given(st.integers(min_value=1, max_value=25), st.integers(min_value=0, max_value=1000))
 @settings(max_examples=25)
 def test_solve_random_spd_property(n, seed):
@@ -205,7 +179,7 @@ def test_solve_random_spd_property(n, seed):
     dense = raw @ raw.T + n * np.eye(n)
     a = _from_dense(dense)
     b = rng.standard_normal(n)
-    x, rep = solve(a, b, tol=1e-12)
+    x = factorize(a)(b)
     bn = np.linalg.norm(b)
     if bn > 0:
         assert np.linalg.norm(b - dense @ x) / bn <= 1e-11

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from thermofem.mesh import (ARC_RADIUS, DomainSpec, Mesh, MeshFormatError, X_LEFT, Y_HALF,
-                            build_domain, focused_domain_contains, focused_domain_mesh,
-                            load_mesh, mirror_vertex_map, save_mesh, unit_square_mesh)
+from thermofem.mesh import (ARC_RADIUS, Mesh, MeshFormatError, X_LEFT, Y_HALF,
+                            focused_domain_contains, focused_domain_mesh, load_mesh,
+                            mirror_vertex_map, save_mesh, unit_square_mesh)
 
 # analytic area of the focused domain: slab of width 0.06 joined with the
 # circular cap right of x1 = 0.03 (the slab corners lie exactly on the arc)
@@ -259,19 +259,3 @@ class TestGmshFormat:
         p.write_text(bad)
         with pytest.raises(MeshFormatError):
             load_mesh(p)
-
-
-class TestDomainSpec:
-    def test_dispatch(self, tmp_path):
-        m = build_domain(DomainSpec("unit-square", 3))
-        assert m.n_triangles == 18
-        m = build_domain(DomainSpec("focused-transducer", 4e-3))
-        assert focused_domain_contains(m.vertices).all()
-        p = tmp_path / "m.csv"
-        save_mesh(unit_square_mesh(2), p)
-        m = build_domain(DomainSpec("external-file", str(p)))
-        assert m.n_triangles == 8
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            DomainSpec("hexagon", 1)

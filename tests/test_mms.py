@@ -393,6 +393,14 @@ class TestStudyBookkeeping:
             ConvergenceConfig(meshes=(8,))
         with pytest.raises(ValueError):
             ConvergenceConfig(meshes=(0, 8))
+        with pytest.raises(ValueError, match="tau"):
+            ConvergenceConfig(tau=-1.0)
+        with pytest.raises(ValueError, match="multiple"):
+            ConvergenceConfig(tau=0.3, final_time=1.0)
+        with pytest.raises(ValueError, match="tolerance"):
+            ConvergenceConfig(fp_tol=5.0)
+        with pytest.raises(ValueError, match="max_iter"):
+            ConvergenceConfig(fp_max_iter=0)
 
     def test_parallel_study_matches_serial(self):
         cfg = ConvergenceConfig(meshes=(2, 4), tau=0.25, final_time=0.5)

@@ -196,6 +196,17 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="example"):
             ScenarioConfig(example=4)
 
+    def test_rejects_bad_mesh_size(self):
+        for h in (-1.0, 0.0, 0.05, float("nan")):
+            with pytest.raises(ValueError, match="h must lie"):
+                ScenarioConfig(example=2, h=h)
+
+    def test_rejects_bad_fixed_point_settings(self):
+        with pytest.raises(ValueError, match="tolerance"):
+            ScenarioConfig(example=2, fp_tol=5.0)
+        with pytest.raises(ValueError, match="max_iter"):
+            ScenarioConfig(example=2, fp_max_iter=0)
+
     def test_rejects_bad_degree(self):
         with pytest.raises(ValueError, match="degree"):
             ScenarioConfig(example=2, degree=0)
@@ -213,6 +224,8 @@ class TestScenarioConfig:
             ScenarioConfig(example=2, tau=3e-7, final_time=4e-5)
         with pytest.raises(ValueError, match="multiple"):
             ScenarioConfig(example=2, final_time=0.0)
+        with pytest.raises(ValueError, match="multiple"):
+            ScenarioConfig(example=2, tau=1e-300, final_time=1e300)
 
     def test_rejects_negative_amplitude_allows_zero(self):
         with pytest.raises(ValueError, match="amplitude"):

@@ -16,6 +16,7 @@ from thermofem import (
     HeatParams,
     ScalarField,
     SimulationState,
+    StepContext,
     TissueModel,
     beta_of_theta,
     build_space,
@@ -28,7 +29,6 @@ from thermofem.stepping import (
     delta1,
     delta2,
     heat_step,
-    history_combos,
     wave_step,
     write_step_reports,
 )
@@ -87,12 +87,6 @@ class TestSchemes:
             delta2(EULER, [x])
         with pytest.raises(ValueError):
             delta2(BDF2, [x, x])
-
-    def test_history_combos_pairs_the_two(self):
-        hist = [np.array([3.0]), np.array([1.0]), np.array([-2.0])]
-        d1, d2 = history_combos(BDF2, hist)
-        np.testing.assert_allclose(d1, 2 * 3.0 - 0.5 * 1.0)
-        np.testing.assert_allclose(d2, 5 * 3.0 - 4 * 1.0 + (-2.0))
 
 
 class TestDifferenceExactness:
@@ -168,7 +162,7 @@ class TestWaveStep:
     def test_zero_history_zero_source(self):
         space = small_space(4)
         state = zero_state(space, tau=0.01)
-        u_new, info = wave_step(state, EULER, WESTERVELT, LIVER_QUADRATIC,
+        u_new, info = wave_step(StepContext(state, EULER, WESTERVELT, LIVER_QUADRATIC),
                                 FixedPointConfig())
         assert np.all(u_new == 0.0)
         assert info["iterations"] == 1
@@ -219,7 +213,7 @@ class TestWaveStep:
         state = zero_state(space, tau=0.01)
         state.u[0][space.interior_dofs] = -5.0
         with pytest.raises(DegeneracyError):
-            wave_step(state, EULER, WESTERVELT, model, FixedPointConfig())
+            wave_step(StepContext(state, EULER, WESTERVELT, model), FixedPointConfig())
 
     def test_near_degenerate_factor_warns(self):
         # Mild data with a raised threshold: the monitor fires without the
@@ -231,7 +225,7 @@ class TestWaveStep:
         state.u[0][space.interior_dofs] = -0.1
         state.u[1][:] = state.u[0]  # zero discrete velocity
         with pytest.warns(DegeneracyWarning):
-            wave_step(state, EULER, WESTERVELT, model, FixedPointConfig(),
+            wave_step(StepContext(state, EULER, WESTERVELT, model), FixedPointConfig(),
                       warn_threshold=0.9)
 
     def test_divergence_reports_last_increment(self):
@@ -243,22 +237,10 @@ class TestWaveStep:
         state.u[0][space.interior_dofs] = 0.4
         from thermofem import FixedPointDivergenceError
         with pytest.raises(FixedPointDivergenceError) as exc:
-            wave_step(state, EULER, WESTERVELT, model,
+            wave_step(StepContext(state, EULER, WESTERVELT, model),
                       FixedPointConfig(tol=1e-14, max_iter=1))
         assert exc.value.iterations == 1
         assert exc.value.increment > 0.0
-
-    def test_solver_parity(self):
-        space = small_space(4)
-        state = zero_state(space, tau=0.05)
-        state.u[0][space.interior_dofs] = 0.1
-        state.u[1][:] = state.u[0]
-        direct, _ = wave_step(state, EULER, WESTERVELT, LIVER_QUADRATIC,
-                              FixedPointConfig(), solver="direct")
-        iterative, _ = wave_step(state, EULER, WESTERVELT, LIVER_QUADRATIC,
-                                 FixedPointConfig(), solver="iterative",
-                                 solver_tol=1e-12)
-        np.testing.assert_allclose(iterative, direct, rtol=1e-6, atol=1e-12)
 
     def test_fixed_point_behavior_on_smooth_data(self):
         # Manufactured regime on a coarse mesh: few iterations, and the
@@ -312,8 +294,8 @@ class TestHeatStep:
     def test_zero_stays_zero(self):
         space = small_space(4)
         state = zero_state(space, tau=0.01)
-        theta_new, _ = heat_step(state, np.zeros(space.n_dofs), EULER,
-                                 WESTERVELT, LIVER_QUADRATIC, HeatParams(1.0, 1e-5))
+        ctx = StepContext(state, EULER, WESTERVELT, LIVER_QUADRATIC)
+        theta_new, _ = heat_step(ctx, np.zeros(space.n_dofs), HeatParams(1.0, 1e-5), {})
         assert np.all(theta_new == 0.0)
 
     def test_l2_contraction_over_random_states(self, rng):
@@ -328,8 +310,8 @@ class TestHeatStep:
         for _ in range(100):
             state = zero_state(space, tau=tau)
             state.theta = [interior_vector(space, rng)]
-            theta_new, _ = heat_step(state, u_zero, EULER, WESTERVELT,
-                                     LIVER_QUADRATIC, heat, factor_cache=cache)
+            ctx = StepContext(state, EULER, WESTERVELT, LIVER_QUADRATIC)
+            theta_new, _ = heat_step(ctx, u_zero, heat, cache)
             assert space.l2_norm(theta_new) <= space.l2_norm(state.theta[0]) * (1 + 1e-12)
         assert len(cache) == 1
 
@@ -340,13 +322,13 @@ class TestHeatStep:
         tau = 0.02
         heat = HeatParams(0.9, 0.2)
         state = zero_state(space, tau=tau)
-        state.u = [interior_vector(space, rng, scale=0.3)]
+        state.u[0] = interior_vector(space, rng, scale=0.3)
         state.theta = [interior_vector(space, rng, scale=0.5)]
         u_new = interior_vector(space, rng, scale=0.3)
         g = ScalarField(lambda x, t: (1.0 + x[..., 0]) * (1.0 + t))
 
-        theta_new, _ = heat_step(state, u_new, EULER, WESTERVELT,
-                                 LIVER_QUADRATIC, heat, heat_source=g)
+        ctx = StepContext(state, EULER, WESTERVELT, LIVER_QUADRATIC)
+        theta_new, _ = heat_step(ctx, u_new, heat, {}, heat_source=g)
 
         import thermofem.fem as fem
         from thermofem import absorption_weights
@@ -369,13 +351,11 @@ class TestHeatStep:
         state = zero_state(space, tau=0.01)
         state.theta = [interior_vector(space, rng)]
         u_zero = np.zeros(space.n_dofs)
-        fresh, _ = heat_step(state, u_zero, EULER, WESTERVELT,
-                             LIVER_QUADRATIC, HeatParams(1.0, 1e-5))
+        ctx = StepContext(state, EULER, WESTERVELT, LIVER_QUADRATIC)
+        fresh, _ = heat_step(ctx, u_zero, HeatParams(1.0, 1e-5), {})
         cache: dict = {}
-        first, _ = heat_step(state, u_zero, EULER, WESTERVELT,
-                             LIVER_QUADRATIC, HeatParams(1.0, 1e-5), factor_cache=cache)
-        again, _ = heat_step(state, u_zero, EULER, WESTERVELT,
-                             LIVER_QUADRATIC, HeatParams(1.0, 1e-5), factor_cache=cache)
+        first, _ = heat_step(ctx, u_zero, HeatParams(1.0, 1e-5), cache)
+        again, _ = heat_step(ctx, u_zero, HeatParams(1.0, 1e-5), cache)
         np.testing.assert_array_equal(first, again)
         np.testing.assert_array_equal(first, fresh)
 
@@ -443,8 +423,6 @@ class TestRunSimulation:
             run_simulation(space, tau=0.1, **kwargs)  # neither
         with pytest.raises(ValueError):
             run_simulation(space, tau=0.1, n_steps=1, final_time=0.1, **kwargs)
-        with pytest.raises(ValueError):
-            run_simulation(space, tau=0.1, n_steps=1, solver="magic", **kwargs)
         with pytest.raises(ValueError):
             run_simulation(space, tau=0.1, n_steps=1, snapshot_indices=[5], **kwargs)
 
