@@ -16,6 +16,7 @@ functions, plain numbers, or raw per-cell quadrature tables.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -319,6 +320,16 @@ class FESpace:
             values = np.zeros(self.n_dofs)
         return FEFunction(self, np.asarray(values, dtype=np.float64))
 
+    def matrix_pattern(self) -> linalg.TripletPattern:
+        """Structure of every assembled matrix: local entry (a, b) of cell c
+        goes to (cell_dofs[c, a], cell_dofs[c, b])."""
+        if "pattern" not in self._matrix_cache:
+            cd, n_loc = self.cell_dofs, self.cell_dofs.shape[1]
+            self._matrix_cache["pattern"] = linalg.TripletPattern(
+                self.n_dofs, self.n_dofs, np.repeat(cd, n_loc, axis=1).ravel(),
+                np.tile(cd, (1, n_loc)).ravel())
+        return self._matrix_cache["pattern"]
+
     def mass_matrix(self) -> SparseMatrix:
         if "mass" not in self._matrix_cache:
             self._matrix_cache["mass"] = assemble_mass(self)
@@ -347,15 +358,20 @@ class FEValues:
     def __init__(self, space: FESpace, rule: QuadratureRule):
         self.space = space
         self.rule = rule
-        phi, dphi_ref = lagrange_basis(space.degree, rule.points)
-        self.phi = phi  # (n_loc, nq)
-        # physical gradients: (nt, n_loc, nq, 2)
-        self.dphi = np.einsum("cde,bqd->cbqe", space._inv_jac, dphi_ref, optimize=True)
+        self.phi, self._dphi_ref = lagrange_basis(space.degree, rule.points)  # reference tables
         # physical quadrature points: (nt, nq, 2)
         ref = rule.points[:, 1:]  # (xi, eta)
         self.points = space._v0[:, None, :] + np.einsum("cij,qj->cqi", space._jac, ref)
         self.weights = rule.weights
         self.areas = space.cell_areas
+
+    @functools.cached_property
+    def dphi(self) -> np.ndarray:
+        """Physical gradients (nt, n_loc, nq, 2), tabulated on first use and
+        stored with the basis index fastest, so that gradient evaluation
+        contracts contiguous rows."""
+        dphi = np.einsum("cde,bqd->cbqe", self.space._inv_jac, self._dphi_ref, optimize=True)
+        return np.ascontiguousarray(dphi.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
 
     def fe_values(self, coeffs: np.ndarray) -> np.ndarray:
         local = coeffs[self.space.cell_dofs]  # (nt, n_loc)
@@ -425,14 +441,6 @@ def _weight_tables(fev: FEValues, weight, t: float, need_gradient: bool):
     raise TypeError(f"unsupported weight type {type(weight).__name__}")
 
 
-def _to_sparse(space: FESpace, local: np.ndarray) -> SparseMatrix:
-    cd = space.cell_dofs
-    n_loc = cd.shape[1]
-    rows = np.repeat(cd, n_loc, axis=1).ravel()
-    cols = np.tile(cd, (1, n_loc)).ravel()
-    return linalg.sparse_from_triplets(space.n_dofs, space.n_dofs, (rows, cols, local.ravel()))
-
-
 def assemble_mass(space: FESpace, weight=None, t: float = 0.0,
                   quad_degree: int | None = None) -> SparseMatrix:
     """Weighted mass matrix M_ij = integral of w * phi_j * phi_i."""
@@ -440,7 +448,7 @@ def assemble_mass(space: FESpace, weight=None, t: float = 0.0,
     w_vals, _ = _weight_tables(fev, weight, t, need_gradient=False)
     local = np.einsum("q,cq,aq,bq->cab", fev.weights, w_vals, fev.phi, fev.phi, optimize=True)
     local *= fev.areas[:, None, None]
-    return _to_sparse(space, local)
+    return space.matrix_pattern().assemble(local)
 
 
 def assemble_stiffness(space: FESpace, quad_degree: int | None = None) -> SparseMatrix:
@@ -448,7 +456,7 @@ def assemble_stiffness(space: FESpace, quad_degree: int | None = None) -> Sparse
     fev = space.values(quad_degree)
     local = np.einsum("q,caqe,cbqe->cab", fev.weights, fev.dphi, fev.dphi, optimize=True)
     local *= fev.areas[:, None, None]
-    return _to_sparse(space, local)
+    return space.matrix_pattern().assemble(local)
 
 
 def assemble_weighted_stiffness(space: FESpace, weight, t: float = 0.0,
@@ -465,7 +473,7 @@ def assemble_weighted_stiffness(space: FESpace, weight, t: float = 0.0,
     local = np.einsum("q,cq,cbqe,caqe->cab", fev.weights, w_vals, fev.dphi, fev.dphi, optimize=True)
     local += np.einsum("q,cbqe,cqe,aq->cab", fev.weights, fev.dphi, w_grads, fev.phi, optimize=True)
     local *= fev.areas[:, None, None]
-    return _to_sparse(space, local)
+    return space.matrix_pattern().assemble(local)
 
 
 def assemble_load(space: FESpace, source, t: float = 0.0,
@@ -490,7 +498,10 @@ def _gradient_load(space: FESpace, field: ScalarField, t: float, quad_degree: in
     fev = space.values(quad_degree)
     pts = fev.points.reshape(-1, 2)
     g = field.gradient(pts, t).reshape(fev.points.shape)
-    local = np.einsum("q,cqe,caqe->ca", fev.weights, g, fev.dphi, optimize=True)
+    # einsum's last bits depend on the operands' memory layout; a C-ordered
+    # copy keeps this load independent of how dphi is stored
+    local = np.einsum("q,cqe,caqe->ca", fev.weights, g, np.ascontiguousarray(fev.dphi),
+                      optimize=True)
     local *= fev.areas[:, None]
     return np.bincount(space.cell_dofs.ravel(), weights=local.ravel(), minlength=space.n_dofs)
 

@@ -1,7 +1,8 @@
 """Sparse matrices and the linear solver for assembly and time stepping.
 
 Storage is CSR (wrapping scipy.sparse); duplicate triplets are summed on
-construction, matching finite element accumulation semantics.  Linear
+construction, matching finite element accumulation semantics.  A
+TripletPattern fixes the structure for assemblies that repeat it.  Linear
 systems are solved by sparse LU factorization (factorize); the returned
 solver can be applied to any number of right-hand sides.
 
@@ -20,6 +21,7 @@ __all__ = [
     "SparseMatrix",
     "SolveReport",
     "sparse_from_triplets",
+    "TripletPattern",
     "matvec",
     "factorize",
 ]
@@ -116,15 +118,66 @@ def sparse_from_triplets(n_rows: int, n_cols: int, triplets) -> SparseMatrix:
     return SparseMatrix(coo.tocsr())
 
 
+class TripletPattern:
+    """Fixed (row, col) triplet positions, summed into one CSR structure.
+
+    assemble(values) gives the same matrix as sparse_from_triplets on these
+    positions, bit for bit, and does the structure work only once.
+    """
+
+    __slots__ = ("shape", "size", "_indptr", "_indices", "_first", "_adds")
+
+    def __init__(self, n_rows: int, n_cols: int, rows, cols):
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        if rows.shape != cols.shape:
+            raise ValueError("triplet arrays must have matching lengths")
+        if rows.size and (rows.min() < 0 or rows.max() >= n_rows or cols.min() < 0 or cols.max() >= n_cols):
+            raise ValueError("triplet index out of range")
+        self.shape = (n_rows, n_cols)
+        self.size = rows.size
+
+        # scipy buckets the triplets by row in their order, sorts each row with
+        # its own unstable sort, then adds equal positions left to right; that
+        # sort run on the triplet numbers gives the summation order once.
+        by_row = np.argsort(rows, kind="stable")
+        row_ptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_rows))))
+        buckets = scipy.sparse.csr_matrix(
+            (by_row.astype(np.float64), cols[by_row], row_ptr), shape=self.shape)
+        buckets.sort_indices()
+        order = buckets.data.astype(np.int64)  # triplet number at each sorted slot
+        sorted_rows = rows[by_row]  # the buckets keep each triplet's row
+        new_entry = np.ones(order.size, dtype=bool)
+        new_entry[1:] = (sorted_rows[1:] != sorted_rows[:-1]) | (buckets.indices[1:] != buckets.indices[:-1])
+        starts = np.flatnonzero(new_entry)
+        self._indices = buckets.indices[starts]
+        self._indptr = np.concatenate(
+            ([0], np.cumsum(np.bincount(sorted_rows[starts], minlength=n_rows)))
+        ).astype(buckets.indptr.dtype)
+
+        lengths = np.diff(np.append(starts, order.size))
+        self._first = order[starts]
+        self._adds = []  # k-th duplicate of each position that has one
+        for k in range(1, int(lengths.max(initial=1))):
+            entries = np.flatnonzero(lengths > k)
+            self._adds.append((entries, order[starts[entries] + k]))
+
+    def assemble(self, values) -> SparseMatrix:
+        values = np.asarray(values, dtype=np.float64).ravel()
+        if values.size != self.size:
+            raise ValueError(f"got {values.size} values for {self.size} triplet positions")
+        data = values[self._first]
+        for entries, triplets in self._adds:
+            data[entries] += values[triplets]
+        return SparseMatrix(scipy.sparse.csr_matrix(
+            (data, self._indices, self._indptr), shape=self.shape))
+
+
 def matvec(a: SparseMatrix, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (a.shape[1],):
         raise ValueError(f"operand shape {x.shape} does not match matrix shape {a.shape}")
     return a.scipy() @ x
-
-
-def _norm(v) -> float:
-    return float(np.linalg.norm(v))
 
 
 class _LUSolver:
@@ -143,8 +196,8 @@ class _LUSolver:
 
     def solve_with_report(self, b) -> tuple[np.ndarray, SolveReport]:
         x = self(b)
-        norm_b = _norm(b)
-        res = 0.0 if norm_b == 0.0 else _norm(b - self._a.scipy() @ x) / norm_b
+        norm_b = float(np.linalg.norm(b))
+        res = 0.0 if norm_b == 0.0 else float(np.linalg.norm(b - self._a.scipy() @ x)) / norm_b
         return x, SolveReport(1, res, "sparse-lu")
 
 

@@ -120,7 +120,7 @@ class ManufacturedPair:
             th = self.theta(x, t)
             q = q_of_theta(model, th)
             b = beta_of_theta(model, th)
-            lap = self.lap_u(x, t)
+            lap = -2.0 * _TWO_PI * _TWO_PI * u
             out = utt - q * lap - b * self.rate1 * lap
             if not variant.linear:
                 k_w, k_k = k_coefficients(model, th)
@@ -141,7 +141,7 @@ class ManufacturedPair:
             ut = self.rate1 * u
             a1, a2 = absorption_weights(variant, model, th)
             absorbed = a1 * u * u + a2 * ut * ut
-            return (self.theta_t(x, t) - heat.kappa * self.lap_theta(x, t)
+            return (-self.rate2 * th - heat.kappa * (-2.0 * _FOUR_PI * _FOUR_PI * th)
                     + heat.nu * th - absorbed)
 
         return ScalarField(g)

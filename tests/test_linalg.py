@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from thermofem.fem import build_space
-from thermofem.linalg import factorize, matvec, sparse_from_triplets
+from thermofem.linalg import TripletPattern, factorize, matvec, sparse_from_triplets
 from thermofem.mesh import unit_square_mesh
 
 
@@ -47,6 +47,56 @@ class TestConstruction:
         for r in range(6):
             row = indices[indptr[r]:indptr[r + 1]]
             assert (np.diff(row) > 0).all()  # sorted, unique
+
+
+class TestTripletPattern:
+    def test_matches_triplet_construction_bit_for_bit(self, rng):
+        # many duplicates in random order, with magnitudes spread so that
+        # the order in which duplicates are added shows in the last bits
+        n, m = 30, 5000
+        rows, cols = rng.integers(0, n, m), rng.integers(0, n, m)
+        pattern = TripletPattern(n, n, rows, cols)
+        for _ in range(3):
+            vals = rng.standard_normal(m) * 10.0 ** rng.integers(-8, 8, m)
+            vals[rng.random(m) < 0.1] = -0.0
+            a = sparse_from_triplets(n, n, (rows, cols, vals))
+            b = pattern.assemble(vals)
+            assert a.indptr.tobytes() == b.indptr.tobytes()
+            assert a.indices.tobytes() == b.indices.tobytes()
+            assert a.data.tobytes() == b.data.tobytes()
+
+    def test_rows_already_in_order(self, rng):
+        rows = np.repeat(np.arange(4), 6)
+        cols = np.tile([0, 0, 1, 2, 2, 3], 4)
+        vals = rng.standard_normal(rows.size)
+        a = sparse_from_triplets(4, 4, (rows, cols, vals))
+        assert a.data.tobytes() == TripletPattern(4, 4, rows, cols).assemble(vals).data.tobytes()
+
+    def test_empty(self):
+        a = TripletPattern(3, 3, [], []).assemble([])
+        assert np.array_equal(a.to_dense(), np.zeros((3, 3)))
+
+    def test_fe_space_pattern(self, rng):
+        space = build_space(unit_square_mesh(3), 3)
+        cd = space.cell_dofs
+        rows = np.repeat(cd, cd.shape[1], axis=1).ravel()
+        cols = np.tile(cd, (1, cd.shape[1])).ravel()
+        vals = rng.standard_normal(rows.size)
+        a = sparse_from_triplets(space.n_dofs, space.n_dofs, (rows, cols, vals))
+        b = space.matrix_pattern().assemble(vals)
+        assert a.indices.tobytes() == b.indices.tobytes()
+        assert a.data.tobytes() == b.data.tobytes()
+
+    def test_rejects_wrong_length_and_nonfinite(self):
+        pattern = TripletPattern(2, 2, [0, 1, 1], [0, 1, 1])
+        with pytest.raises(ValueError):
+            pattern.assemble([1.0, 2.0])
+        with pytest.raises(ValueError):
+            pattern.assemble([1.0, float("inf"), 2.0])
+
+    def test_out_of_range_rejected(self):
+        with pytest.raises(ValueError):
+            TripletPattern(2, 2, [0, 2], [0, 0])
 
 
 class TestMatvec:
