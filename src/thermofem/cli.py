@@ -119,10 +119,10 @@ def scenario_config_from_dict(data: dict) -> ScenarioConfig:
         config = ScenarioConfig(**kwargs)
     except ValueError as e:
         raise ConfigError(str(e)) from e
-    if config.resolved_snapshots and max(config.resolved_snapshots) > config.n_steps:
-        raise ConfigError(
-            f"snapshot index {max(config.resolved_snapshots)} exceeds the "
-            f"{config.n_steps} steps of the run")
+    outside = [s for s in config.resolved_snapshots if not 0 <= s <= config.n_steps]
+    if outside:
+        raise ConfigError(f"snapshot indices {outside} lie outside [0, {config.n_steps}], "
+                          f"the steps of the run")
     return config
 
 

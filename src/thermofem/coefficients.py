@@ -7,7 +7,8 @@ beta = 2 * alpha * c^3 / omega^2 with absorption alpha = 4.5e-6 * f and
 angular frequency omega = 2*pi*f, and the nonlinearity coefficients of the
 two model variants: k_W = (1 + B/2A) / (rho * q) for the pressure-form
 equation (Westervelt) and k_K = (B/2A) / q for the velocity-potential form
-(Kuznetsov).
+(Kuznetsov).  A SpeedTable holds c and c' on one temperature table, so
+the laws needed on the same table share one polynomial evaluation.
 
 The heat equation theta_t - kappa * lap(theta) + nu * theta = Q is driven
 by the absorbed acoustic energy Q, a variant-dependent quadratic form
@@ -32,6 +33,7 @@ __all__ = [
     "LIVER_QUADRATIC",
     "LIVER_QUINTIC",
     "speed_of_sound",
+    "SpeedTable",
     "q_of_theta",
     "beta_of_theta",
     "k_coefficients",
@@ -109,31 +111,80 @@ def _dspeed(model: TissueModel, theta) -> np.ndarray:
     return _horner_derivative(model.speed_coeffs, theta + model.ambient)
 
 
+class SpeedTable:
+    """The sound speed c and, when asked for, its slope c' on one
+    temperature table.
+
+    Every law below is a function of c and c', so a caller that needs
+    several of them on the same table evaluates the polynomial once here.
+    The module-level functions of theta build a table per call.
+    """
+
+    __slots__ = ("model", "c", "dc")
+
+    def __init__(self, model: TissueModel, theta, slope: bool = False):
+        self.model = model
+        self.c = speed_of_sound(model, theta)
+        self.dc = _dspeed(model, theta) if slope else None
+
+    def q(self, derivative: bool = False):
+        """Squared speed q = c^2; optionally also dq/dtheta = 2 c c'."""
+        c = self.c
+        q = c * c
+        if not derivative:
+            return q
+        return q, 2.0 * c * self.dc
+
+    def beta(self, derivative: bool = False):
+        """Damping beta = 2 * alpha * c^3 / omega^2; optionally d(beta)/dtheta."""
+        c = self.c
+        scale = 2.0 * self.model.absorption / (self.model.omega * self.model.omega)
+        b = scale * c ** 3
+        if not derivative:
+            return b
+        return b, 3.0 * scale * c * c * self.dc
+
+    def k(self) -> tuple[np.ndarray, np.ndarray]:
+        """Nonlinearity coefficients (k_W, k_K)."""
+        q = self.q()
+        k_w = (1.0 + self.model.b_over_2a) / (self.model.density * q)
+        k_k = self.model.b_over_2a / q
+        return k_w, k_k
+
+    def absorption_weights(self, variant: EquationVariant):
+        """Coefficients (a1, a2) of the absorbed energy Q = a1 u^2 + a2 u_t^2."""
+        c = self.c
+        model = self.model
+        if variant.tag == "westervelt":
+            q = c * c
+            beta = self.beta()
+            a1 = model.absorption / c / (2.0 * model.density)
+            a2 = 2.0 * beta / (q * q) / (2.0 * model.density)
+            return a1, a2
+        a1 = model.density * model.absorption / c
+        return a1, np.zeros_like(c)
+
+    def absorbed_energy(self, variant: EquationVariant, u, u_t):
+        """Absorbed acoustic energy Q(u, u_t, theta) driving the heat equation."""
+        u = np.asarray(u, dtype=np.float64)
+        u_t = np.asarray(u_t, dtype=np.float64)
+        a1, a2 = self.absorption_weights(variant)
+        return a1 * u * u + a2 * u_t * u_t
+
+
 def q_of_theta(model: TissueModel, theta, derivative: bool = False):
     """Squared speed q = c^2; optionally also dq/dtheta = 2 c c'."""
-    c = speed_of_sound(model, theta)
-    q = c * c
-    if not derivative:
-        return q
-    return q, 2.0 * c * _dspeed(model, theta)
+    return SpeedTable(model, theta, slope=derivative).q(derivative)
 
 
 def beta_of_theta(model: TissueModel, theta, derivative: bool = False):
     """Damping beta = 2 * alpha * c^3 / omega^2; optionally d(beta)/dtheta."""
-    c = speed_of_sound(model, theta)
-    scale = 2.0 * model.absorption / (model.omega * model.omega)
-    b = scale * c ** 3
-    if not derivative:
-        return b
-    return b, 3.0 * scale * c * c * _dspeed(model, theta)
+    return SpeedTable(model, theta, slope=derivative).beta(derivative)
 
 
 def k_coefficients(model: TissueModel, theta) -> tuple[np.ndarray, np.ndarray]:
     """Nonlinearity coefficients (k_W, k_K) at the given temperature."""
-    q = q_of_theta(model, theta)
-    k_w = (1.0 + model.b_over_2a) / (model.density * q)
-    k_k = model.b_over_2a / q
-    return k_w, k_k
+    return SpeedTable(model, theta).k()
 
 
 @dataclass(frozen=True)
@@ -175,23 +226,12 @@ def variant_by_name(name: str) -> EquationVariant:
 
 def absorption_weights(variant: EquationVariant, model: TissueModel, theta):
     """Coefficients (a1, a2) of the absorbed energy Q = a1 u^2 + a2 u_t^2."""
-    c = speed_of_sound(model, theta)
-    if variant.tag == "westervelt":
-        q = c * c
-        beta = beta_of_theta(model, theta)
-        a1 = model.absorption / c / (2.0 * model.density)
-        a2 = 2.0 * beta / (q * q) / (2.0 * model.density)
-        return a1, a2
-    a1 = model.density * model.absorption / c
-    return a1, np.zeros_like(np.asarray(theta, dtype=np.float64))
+    return SpeedTable(model, theta).absorption_weights(variant)
 
 
 def absorbed_energy(variant: EquationVariant, model: TissueModel, u, u_t, theta):
     """Absorbed acoustic energy Q(u, u_t, theta) driving the heat equation."""
-    u = np.asarray(u, dtype=np.float64)
-    u_t = np.asarray(u_t, dtype=np.float64)
-    a1, a2 = absorption_weights(variant, model, theta)
-    return a1 * u * u + a2 * u_t * u_t
+    return SpeedTable(model, theta).absorbed_energy(variant, u, u_t)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,10 @@ Storage is CSR (wrapping scipy.sparse); duplicate triplets are summed on
 construction, matching finite element accumulation semantics.  A
 TripletPattern fixes the structure for assemblies that repeat it.  Linear
 systems are solved by sparse LU factorization (factorize); the returned
-solver can be applied to any number of right-hand sides.
+solver can be applied to any number of right-hand sides.  Every system the
+solver sees (wave, heat, Ritz and mass) has a structurally symmetric
+pattern, so the columns are ordered by multiple minimum degree on
+A^T + A, which fills in far less than scipy's default, COLAMD.
 
 Everything here is deterministic: identical inputs produce bit-identical
 outputs, which the reporting layer relies on.
@@ -185,7 +188,7 @@ class _LUSolver:
 
     def __init__(self, a: SparseMatrix):
         self._a = a
-        self._lu = scipy.sparse.linalg.splu(a.scipy().tocsc())
+        self._lu = scipy.sparse.linalg.splu(a.scipy().tocsc(), permc_spec="MMD_AT_PLUS_A")
         self.n = a.shape[0]
 
     def __call__(self, b) -> np.ndarray:

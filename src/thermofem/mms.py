@@ -22,8 +22,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import fem
-from .coefficients import (HeatParams, LIVER_QUADRATIC, TissueModel, absorption_weights,
-                           beta_of_theta, k_coefficients, q_of_theta, variant_by_name)
+from .coefficients import (HeatParams, LIVER_QUADRATIC, SpeedTable, TissueModel,
+                           absorption_weights, variant_by_name)
 from .fem import FEFunction, FESpace, ScalarField, build_space, error_norms
 from .mesh import unit_square_mesh
 from .stepping import (FixedPointConfig, SimulationState, delta1, run_simulation,
@@ -118,12 +118,13 @@ class ManufacturedPair:
             ut = self.rate1 * u
             utt = self.rate1 * ut
             th = self.theta(x, t)
-            q = q_of_theta(model, th)
-            b = beta_of_theta(model, th)
+            speed = SpeedTable(model, th)
+            q = speed.q()
+            b = speed.beta()
             lap = -2.0 * _TWO_PI * _TWO_PI * u
             out = utt - q * lap - b * self.rate1 * lap
             if not variant.linear:
-                k_w, k_k = k_coefficients(model, th)
+                k_w, k_k = speed.k()
                 if variant.tag == "westervelt":
                     out = out + 2.0 * k_w * (u * utt + ut * ut)
                 else:
@@ -200,6 +201,8 @@ class ConvergenceConfig:
             raise ValueError("a convergence study needs at least two meshes")
         if any(int(n) < 1 for n in self.meshes):
             raise ValueError("mesh subdivision counts must be positive")
+        if len(set(int(n) for n in self.meshes)) != len(self.meshes):
+            raise ValueError(f"mesh subdivision counts must be distinct, got {list(self.meshes)}")
         step_count(self.final_time, self.tau)
         FixedPointConfig(tol=self.fp_tol, max_iter=self.fp_max_iter)
 

@@ -4,10 +4,16 @@ One time step advances the wave field first and the temperature second.
 The wave step treats the quasilinear factor (1 + 2k u or 1 + 2k u_t) and
 the remaining nonlinearity by fixed-point iteration, freezing the
 temperature-dependent coefficients q(theta^n) and beta(theta^n) over the
-step; each iterate solves one linear system.  The heat step is
-semi-implicit: diffusion and perfusion are implicit, the absorbed energy
-is evaluated from the fresh wave iterate and the previous temperature, so
-it costs a single symmetric positive definite solve.
+step.  The iteration is a chord method: the wave system at the previous
+level is factored once per step, its solve is the first iterate, and each
+later iterate corrects the current one by that factor applied to the
+residual of the system at the iterate.  Within a step the system changes
+only through the quasilinear factor, which stays close to its start value,
+so the corrections contract almost as fast as re-solving with a fresh
+factor per iterate would.  The heat step is semi-implicit: diffusion and
+perfusion are implicit, the absorbed energy is evaluated from the fresh
+wave iterate and the previous temperature, so it costs a single symmetric
+positive definite solve, with a factor kept for the whole run.
 
 Two schemes share one code path through their leading weights and history
 combinations: implicit Euler (weights 1, 1) and BDF2 (weights 3/2, 2).
@@ -151,6 +157,7 @@ class StepReport:
     increments: tuple = ()
     wave_solves: tuple = ()
     heat_solve: SolveReport | None = None
+    factorizations: int = 0  # LU factorizations made in the step, wave and heat
 
 
 @dataclass
@@ -188,9 +195,9 @@ def _effective_scheme(scheme: TimeScheme, step: int) -> TimeScheme:
 
 class StepContext:
     """Frozen data of one time step, shared by its wave and heat halves:
-    coefficient tables at theta^n, the history combinations, t_{n+1}, and
-    the parts of the wave system that do not change across fixed-point
-    iterations."""
+    the sound-speed and coefficient tables at theta^n, the history
+    combinations, t_{n+1}, and the parts of the wave system that do not
+    change across fixed-point iterations."""
 
     def __init__(self, state: SimulationState, scheme: TimeScheme, variant: EquationVariant,
                  model: TissueModel, wave_source=None):
@@ -210,12 +217,13 @@ class StepContext:
         theta_n = state.theta[0]
         self.theta_cell = self.fev.fe_values(theta_n)
         theta_grad = self.fev.fe_gradients(theta_n)
-        q_vals, dq = coef.q_of_theta(model, self.theta_cell, derivative=True)
-        b_vals, db = coef.beta_of_theta(model, self.theta_cell, derivative=True)
+        self.speed = coef.SpeedTable(model, self.theta_cell, slope=True)
+        q_vals, dq = self.speed.q(derivative=True)
+        b_vals, db = self.speed.beta(derivative=True)
         s_q = fem.assemble_weighted_stiffness(space, (q_vals, dq[:, :, None] * theta_grad))
         s_b = fem.assemble_weighted_stiffness(space, (b_vals, db[:, :, None] * theta_grad))
 
-        k_w, k_k = coef.k_coefficients(model, self.theta_cell)
+        k_w, k_k = self.speed.k()
         self.k_cell = k_w if variant.tag == "westervelt" else k_k
 
         self.d1u = delta1(self.scheme, state.u)
@@ -250,11 +258,15 @@ class StepContext:
 def wave_step(ctx: StepContext, fp: FixedPointConfig, *, warn_threshold: float = 0.1):
     """Advance the wave field one step; returns (u_new, step info dict).
 
-    The fixed point starts from the previous level.  It stops when the
-    relative L2 increment between iterates drops below fp.tol (absolute
-    when the new iterate is zero), or as soon as the nonlinearity tables
-    stop changing, in which case the next solve would reproduce the
-    current iterate exactly.
+    The fixed point starts from the previous level u^n and runs as a chord
+    iteration.  The interior system A(u^n) = lead2 M(n1(u^n)) + stiff_frozen
+    is factored once; its solve with b(u^n) is the first iterate, and each
+    later iterate adds the correction A(u^n)^{-1} (b(u) - A(u) u) computed
+    with the same factor.  The iteration stops when the relative L2
+    increment between iterates drops below fp.tol (absolute when the new
+    iterate is zero), or as soon as the nonlinearity tables stop changing
+    while n1 equals the table the factor was built from, in which case the
+    next correction would be rounding alone.
     """
     space = ctx.space
     tau = ctx.tau
@@ -263,6 +275,7 @@ def wave_step(ctx: StepContext, fp: FixedPointConfig, *, warn_threshold: float =
 
     u_i = ctx.u_prev.copy()
     n1, n2 = ctx.nonlinearity(u_i)
+    n1_factor = n1
     n1_min = float(n1.min())
     increments = []
     solves = []
@@ -279,14 +292,23 @@ def wave_step(ctx: StepContext, fp: FixedPointConfig, *, warn_threshold: float =
                 DegeneracyWarning,
                 stacklevel=2,
             )
-        m_n1 = fem.assemble_mass(space, n1)
-        a_full = lead2 * m_n1 + ctx.stiff_frozen
-        rhs = m_n1 @ ctx.d2u + base_rhs - (tau * tau) * fem.assemble_load(space, n2)
-        a_ii = a_full.submatrix(idx, idx)
-        x, rep = linalg.factorize(a_ii).solve_with_report(rhs[idx])
+        if it == 1:
+            m_n1 = fem.assemble_mass(space, n1)
+            a_full = lead2 * m_n1 + ctx.stiff_frozen
+            rhs = m_n1 @ ctx.d2u + base_rhs - (tau * tau) * fem.assemble_load(space, n2)
+            lu = linalg.factorize(a_full.submatrix(idx, idx))
+            x, rep = lu.solve_with_report(rhs[idx])
+            u_next = np.zeros(space.n_dofs)
+            u_next[idx] = x
+        else:
+            # b(u) - A(u) u, applying M(n1) through the quadrature it is
+            # assembled with instead of assembling it
+            mass_part = n1 * ctx.fev.fe_values(ctx.d2u - lead2 * u_i) - (tau * tau) * n2
+            res = fem.assemble_load(space, mass_part) + base_rhs - ctx.stiff_frozen @ u_i
+            dx, rep = lu.solve_with_report(res[idx])
+            u_next = u_i.copy()
+            u_next[idx] += dx
         solves.append(rep)
-        u_next = np.zeros(space.n_dofs)
-        u_next[idx] = x
 
         norm_new = space.l2_norm(u_next)
         inc = space.l2_norm(u_next - u_i)
@@ -296,15 +318,17 @@ def wave_step(ctx: StepContext, fp: FixedPointConfig, *, warn_threshold: float =
             break
         n1_next, n2_next = ctx.nonlinearity(u_next)
         n1_min = min(n1_min, float(n1_next.min()))
-        if np.array_equal(n1_next, n1) and np.array_equal(n2_next, n2):
-            # The system is stationary in the iterate: one more solve would
-            # return u_next bit for bit, so the fixed point is reached.
+        if (np.array_equal(n1, n1_factor) and np.array_equal(n1_next, n1_factor)
+                and np.array_equal(n2_next, n2)):
+            # The factored operator was exact for the last update and still
+            # is, and the remainder did not move: the next correction is the
+            # solve's rounding, so the fixed point is reached.
             break
         u_i, n1, n2 = u_next, n1_next, n2_next
     else:
         raise FixedPointDivergenceError(fp.max_iter, increments[-1])
-    return u_next, {"iterations": it, "increments": tuple(increments),
-                    "n1_min": n1_min, "solves": tuple(solves)}
+    return u_next, {"iterations": it, "increments": tuple(increments), "n1_min": n1_min,
+                    "solves": tuple(solves), "factorizations": 1}
 
 
 def heat_step(ctx: StepContext, u_new: np.ndarray, heat: HeatParams, factor_cache: dict,
@@ -323,7 +347,7 @@ def heat_step(ctx: StepContext, u_new: np.ndarray, heat: HeatParams, factor_cach
     ut_new = (eff.lead1 * u_new - ctx.d1u) / tau
     u_cell = ctx.fev.fe_values(u_new)
     ut_cell = ctx.fev.fe_values(ut_new)
-    q_cell = coef.absorbed_energy(ctx.variant, ctx.model, u_cell, ut_cell, ctx.theta_cell)
+    q_cell = ctx.speed.absorbed_energy(ctx.variant, u_cell, ut_cell)
 
     load = fem.assemble_load(space, q_cell)
     if heat_source is not None:
@@ -405,6 +429,7 @@ def run_simulation(space: FESpace, *, scheme: TimeScheme, variant: EquationVaria
     heat_factors: dict = {}
 
     for n in range(n_steps):
+        heat_cached = len(heat_factors)
         try:
             ctx = StepContext(state, scheme, variant, model, wave_source)
             u_new, info = wave_step(ctx, fp, warn_threshold=warn_threshold)
@@ -429,6 +454,7 @@ def run_simulation(space: FESpace, *, scheme: TimeScheme, variant: EquationVaria
             increments=info["increments"],
             wave_solves=info["solves"],
             heat_solve=heat_rep,
+            factorizations=info["factorizations"] + len(heat_factors) - heat_cached,
         ))
         max_u.append(float(np.abs(u_new).max()))
         max_theta.append(float(np.abs(theta_new).max()))
@@ -439,10 +465,15 @@ def run_simulation(space: FESpace, *, scheme: TimeScheme, variant: EquationVaria
 
 
 def write_step_reports(reports: Sequence[StepReport], path) -> None:
-    """Stream step reports as CSV."""
+    """Stream step reports as CSV.
+
+    wave_residual is the relative residual of the step's last linear wave
+    solve: the last chord correction, or the first solve when one iterate
+    sufficed.  heat_residual is that of the heat solve.
+    """
     lines = ["step,scheme,iterations,increment,n1_min,wave_residual,heat_residual"]
     for r in reports:
-        wave_res = max((s.relative_residual for s in r.wave_solves), default=0.0)
+        wave_res = r.wave_solves[-1].relative_residual if r.wave_solves else 0.0
         heat_res = r.heat_solve.relative_residual if r.heat_solve is not None else 0.0
         lines.append(
             f"{r.index},{r.scheme_tag},{r.iterations},{r.increment:.17g},"

@@ -78,6 +78,19 @@ class TestConfigParsing:
             scenario_config_from_dict({"example": 2, "final_time": 1e-6,
                                        "snapshots": [99]})
 
+    def test_scenario_negative_snapshot(self, tmp_path, capsys):
+        with pytest.raises(ConfigError, match="snapshot"):
+            scenario_config_from_dict({"example": 2, "final_time": 1e-6, "snapshots": [-1]})
+        cfg = write_config(tmp_path, {"example": 2, "h": 8e-3, "final_time": 5e-7,
+                                      "snapshots": [-1]})
+        assert main(["scenario", "--config", cfg, "--dry-run"]) == 2
+        assert "snapshot" in capsys.readouterr().err
+
+    def test_repeated_meshes_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, dict(TINY_MMS, meshes=[2, 2, 2]))
+        assert main(["mms", "--config", cfg, "--dry-run"]) == 2
+        assert "distinct" in capsys.readouterr().err
+
     def test_dry_run_rejects_bad_values(self, tmp_path, capsys):
         # values that pass the type checks but cannot run fail before compute
         for data in ({"tau": -1, "fp_tol": 5}, {"tau": 0.3, "final_time": 1},

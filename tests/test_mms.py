@@ -393,6 +393,8 @@ class TestStudyBookkeeping:
             ConvergenceConfig(meshes=(8,))
         with pytest.raises(ValueError):
             ConvergenceConfig(meshes=(0, 8))
+        with pytest.raises(ValueError, match="distinct"):
+            ConvergenceConfig(meshes=(2, 2, 2))  # no rate between equal meshes
         with pytest.raises(ValueError, match="tau"):
             ConvergenceConfig(tau=-1.0)
         with pytest.raises(ValueError, match="multiple"):

@@ -24,6 +24,7 @@ from thermofem import (
     scheme_by_name,
     unit_square_mesh,
 )
+from thermofem import fem, linalg
 from thermofem.mms import ManufacturedPair
 from thermofem.stepping import (
     delta1,
@@ -58,6 +59,38 @@ def interior_vector(space, rng, scale=1.0):
     vec = np.zeros(space.n_dofs)
     vec[space.interior_dofs] = scale * rng.normal(size=space.interior_dofs.size)
     return vec
+
+
+def count_factorizations(monkeypatch):
+    """Record the size of every LU factorization made from here on."""
+    calls = []
+    real = linalg.factorize
+
+    def counting(a):
+        calls.append(a.shape[0])
+        return real(a)
+
+    monkeypatch.setattr(linalg, "factorize", counting)
+    return calls
+
+
+def picard_wave_step(ctx, max_iter=60):
+    """Reference fixed point for the wave step: rebuild and solve the
+    interior system densely at every iterate until it stops moving."""
+    space, tau, ix = ctx.space, ctx.tau, ctx.interior
+    u = ctx.u_prev.copy()
+    for _ in range(max_iter):
+        n1, n2 = ctx.nonlinearity(u)
+        m_n1 = fem.assemble_mass(space, n1)
+        a = (ctx.scheme.lead2 * m_n1 + ctx.stiff_frozen).to_dense()[np.ix_(ix, ix)]
+        rhs = (m_n1 @ ctx.d2u + tau * ctx.sb_d1 + tau * tau * ctx.f_load
+               - tau * tau * fem.assemble_load(space, n2))
+        u_new = np.zeros(space.n_dofs)
+        u_new[ix] = np.linalg.solve(a, rhs[ix])
+        if space.l2_norm(u_new - u) <= 1e-15 * space.l2_norm(u_new):
+            return u_new
+        u = u_new
+    raise AssertionError("reference Picard loop did not settle")
 
 
 def zero_state(space, tau, depth=2):
@@ -177,6 +210,47 @@ class TestWaveStep:
             projection="nodal")
         assert all(rep.iterations == 1 for rep in result.reports)
         assert all(rep.n1_min == 1.0 for rep in result.reports)
+
+    @pytest.mark.parametrize("scheme_name", ["euler", "bdf2"])
+    @pytest.mark.parametrize("data", ["zero", "linear"])
+    def test_stationary_tables_take_one_iterate_and_one_factor(self, data, scheme_name,
+                                                               monkeypatch):
+        # The nonlinearity tables never move here, so each step is its first
+        # solve.  Every step factors the wave system once; the heat system is
+        # factored once per leading weight (BDF2 starts with an Euler step).
+        space = small_space(6)
+        z = np.zeros(space.n_dofs)
+        if data == "zero":
+            kwargs = dict(variant=WESTERVELT, model=LIVER_QUADRATIC, u0=z, u1=z, theta0=z)
+        else:
+            kwargs = dict(variant=LINEAR_WAVE, model=CONSTANT_MEDIUM, u0=SINE_INITIAL,
+                          u1=SINE_VELOCITY, theta0=SINE_INITIAL, projection="nodal")
+        calls = count_factorizations(monkeypatch)
+        result = run_simulation(space, scheme=scheme_by_name(scheme_name),
+                                heat=HeatParams(1.0, 1e-5), tau=0.05, n_steps=4, **kwargs)
+        assert [rep.iterations for rep in result.reports] == [1, 1, 1, 1]
+        heat_factors = [1, 0, 0, 0] if scheme_name == "euler" else [1, 1, 0, 0]
+        assert [rep.factorizations for rep in result.reports] == [1 + h for h in heat_factors]
+        assert len(calls) == sum(rep.factorizations for rep in result.reports)
+
+    def test_nonlinear_step_factors_once_and_matches_picard(self, monkeypatch):
+        # k_W = 1: the quasilinear factor 1 + 2u moves by tens of percent.
+        model = TissueModel(speed_coeffs=(1.0,), ambient=0.0, density=1.0, b_over_2a=0.0)
+        space = small_space(6)
+        state = zero_state(space, tau=0.05)
+        state.u[0] = 0.2 * fem.nodal_interpolate(space, SINE_INITIAL).values
+        state.u[1] = state.u[0] - 0.05 * fem.nodal_interpolate(space, SINE_VELOCITY).values
+        ctx = StepContext(state, EULER, WESTERVELT, model)
+
+        calls = count_factorizations(monkeypatch)
+        u_new, info = wave_step(ctx, FixedPointConfig(tol=1e-14))
+        assert calls == [space.interior_dofs.size]
+        assert info["factorizations"] == 1
+        assert info["iterations"] > 3
+        assert len(info["solves"]) == info["iterations"]
+
+        expected = picard_wave_step(ctx)
+        assert np.abs(u_new - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_single_euler_step_matches_hand_solution(self):
         # One interior vertex: the step reduces to a scalar equation
