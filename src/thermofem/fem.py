@@ -12,7 +12,10 @@ all polynomials of total degree <= d exactly.  Weights are normalized to
 sum to one, so integrals are area * sum(w * f).
 
 Assembly weights can be analytic fields (ScalarField), finite element
-functions, plain numbers, or raw per-cell quadrature tables.
+functions, plain numbers, or raw per-cell quadrature tables.  Mass,
+stiffness and load tables are einsum contractions; the weighted stiffness
+form, assembled every time step, builds its local matrices with GEMMs (see
+assemble_weighted_stiffness).
 """
 from __future__ import annotations
 
@@ -373,6 +376,18 @@ class FEValues:
         dphi = np.einsum("cde,bqd->cbqe", self.space._inv_jac, self._dphi_ref, optimize=True)
         return np.ascontiguousarray(dphi.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
 
+    @functools.cached_property
+    def reference_products(self) -> np.ndarray:
+        """Quadrature-weighted products of reference basis data, shape
+        (5 nq, n_loc**2): rows (j, q) hold, for the local pair (a, b) at point
+        q, w_q times d0a d0b, d0a d1b + d1a d0b, d1a d1b, phi_a d0b and
+        phi_a d1b, where dk is the derivative along reference axis k."""
+        d0, d1 = self._dphi_ref[..., 0], self._dphi_ref[..., 1]  # (n_loc, nq)
+        pairs = ((d0, d0), (d0, d1), (d1, d1), (self.phi, d0), (self.phi, d1))
+        table = np.stack([np.einsum("q,aq,bq->qab", self.weights, a, b) for a, b in pairs])
+        table[1] += table[1].transpose(0, 2, 1)
+        return table.reshape(5 * len(self.weights), -1)
+
     def fe_values(self, coeffs: np.ndarray) -> np.ndarray:
         local = coeffs[self.space.cell_dofs]  # (nt, n_loc)
         return np.einsum("cb,bq->cq", local, self.phi, optimize=True)
@@ -467,12 +482,34 @@ def assemble_weighted_stiffness(space: FESpace, weight, t: float = 0.0,
     A_ij = integral of w * grad phi_j . grad phi_i + (grad phi_j . grad w) * phi_i,
     i.e. the weight multiplies the test function inside the bilinear form
     and its gradient enters through the product rule.
+
+    The local matrices come from GEMMs instead of a contraction over
+    (cell, point, component, basis).  P1 gradients are constant on a cell,
+    so with D the cell's (component, basis) gradient block the local matrix
+    is Z^T D, where Z[e, a] = sum_q area w_q (w(x_q) D[e, a] + phi_a(x_q) d_e w(x_q))
+    is summed over the points first: a (3 x 2)(2 x 3) product per cell.
+    Higher degrees map the form to the reference cell: with G = J^{-1}, the
+    cell enters only through area * G G^T (3 entries) times w and
+    area * G grad w, so one GEMM of those per-point values against the
+    FEValues.reference_products table gives every local matrix.
     """
     fev = space.values(quad_degree)
     w_vals, w_grads = _weight_tables(fev, weight, t, need_gradient=True)
-    local = np.einsum("q,cq,cbqe,caqe->cab", fev.weights, w_vals, fev.dphi, fev.dphi, optimize=True)
-    local += np.einsum("q,cbqe,cqe,aq->cab", fev.weights, fev.dphi, w_grads, fev.phi, optimize=True)
-    local *= fev.areas[:, None, None]
+    if space.degree == 1:
+        d = fev.dphi.transpose(0, 2, 3, 1)[:, 0]  # (nt, 2, 3), contiguous rows
+        zt = np.matmul(fev.weights * fev.phi, w_grads)
+        zt += (w_vals @ fev.weights)[:, None, None] * d.transpose(0, 2, 1)
+        zt *= fev.areas[:, None, None]
+        local = np.matmul(zt, d)
+    else:
+        nt, nq = w_vals.shape
+        inv = space._inv_jac * fev.areas[:, None, None]
+        metric = np.matmul(inv, space._inv_jac.transpose(0, 2, 1))
+        x = np.empty((nt, 5, nq))
+        x[:, :3] = metric[:, [0, 0, 1], [0, 1, 1], None] * w_vals[:, None, :]
+        x[:, 3:] = np.matmul(inv, w_grads.transpose(0, 2, 1))
+        n_loc = fev.phi.shape[0]
+        local = (x.reshape(nt, 5 * nq) @ fev.reference_products).reshape(nt, n_loc, n_loc)
     return space.matrix_pattern().assemble(local)
 
 
@@ -494,15 +531,14 @@ def assemble_load(space: FESpace, source, t: float = 0.0,
     return np.bincount(space.cell_dofs.ravel(), weights=local.ravel(), minlength=space.n_dofs)
 
 
-def _gradient_load(space: FESpace, field: ScalarField, t: float, quad_degree: int) -> np.ndarray:
-    fev = space.values(quad_degree)
-    pts = fev.points.reshape(-1, 2)
-    g = field.gradient(pts, t).reshape(fev.points.shape)
-    # einsum's last bits depend on the operands' memory layout; a C-ordered
-    # copy keeps this load independent of how dphi is stored
-    local = np.einsum("q,cqe,caqe->ca", fev.weights, g, np.ascontiguousarray(fev.dphi),
-                      optimize=True)
-    local *= fev.areas[:, None]
+def _gradient_load(space: FESpace, grad_table: np.ndarray) -> np.ndarray:
+    """Load vector b_i = integral of g . grad phi_i for a table g of shape
+    (nt, nq, 2) on the assembly quadrature."""
+    fev = space.values()
+    nt, nq = fev.points.shape[:2]
+    g = grad_table * (fev.areas[:, None] * fev.weights)[:, :, None]
+    d = fev.dphi.transpose(0, 2, 3, 1).reshape(nt, 2 * nq, -1)
+    local = np.matmul(g.reshape(nt, 1, 2 * nq), d)
     return np.bincount(space.cell_dofs.ravel(), weights=local.ravel(), minlength=space.n_dofs)
 
 
@@ -512,7 +548,9 @@ def ritz_projection(space: FESpace, field: ScalarField, t: float = 0.0) -> FEFun
     The field must provide a gradient.  Interior values solve the reduced
     stiffness system; boundary values are exactly zero.
     """
-    rhs = _gradient_load(space, field, t, space.assembly_degree)
+    fev = space.values()
+    g = field.gradient(fev.points.reshape(-1, 2), t).reshape(fev.points.shape)
+    rhs = _gradient_load(space, g)
     k = space.stiffness_matrix()
     idx = space.interior_dofs
     k_ii = k.submatrix(idx, idx)

@@ -117,13 +117,23 @@ def example2_initial_data(amplitude: float = 1.0e6):
 
 def example3_source(amplitude: float = DEFAULT_AMPLITUDES[3],
                     frequency: float = 1.0e5) -> ScalarField:
-    """Time-harmonic interior forcing for the driven run."""
+    """Time-harmonic interior forcing for the driven run.
+
+    The spatial profile of the last point set seen is kept, so a run that
+    evaluates the source on the same quadrature points every step computes
+    only the time factor.  The points are compared by value, since callers
+    pass fresh views of one table.
+    """
     edge = math.exp(-40.0)
+    last = {}
 
     def f0(x, t):
-        r, w = _window(x)
-        radial = (r / TRANSDUCER_RADIUS) * (np.exp(-40.0 * r / TRANSDUCER_RADIUS) - edge)
-        return amplitude * w * radial * math.cos(2.0 * math.pi * frequency * t)
+        if "points" not in last or not np.array_equal(last["points"], x):
+            r, w = _window(x)
+            radial = (r / TRANSDUCER_RADIUS) * (np.exp(-40.0 * r / TRANSDUCER_RADIUS) - edge)
+            last["points"] = np.array(x, dtype=np.float64)
+            last["profile"] = amplitude * w * radial
+        return last["profile"] * math.cos(2.0 * math.pi * frequency * t)
 
     return ScalarField(f0)
 

@@ -197,7 +197,13 @@ class StepContext:
     """Frozen data of one time step, shared by its wave and heat halves:
     the sound-speed and coefficient tables at theta^n, the history
     combinations, t_{n+1}, and the parts of the wave system that do not
-    change across fixed-point iterations."""
+    change across fixed-point iterations.
+
+    Those parts are stiff_frozen, the matrix of
+    tau^2 a(u, q phi) + tau lead1 a(u, beta phi), made by one weighted
+    stiffness assembly with the combined weight, and sb_d1, the action
+    a(delta1 u, beta phi_i), assembled as a load from grad_d1u, the
+    gradient table of delta1 u that the Kuznetsov remainder reuses."""
 
     def __init__(self, state: SimulationState, scheme: TimeScheme, variant: EquationVariant,
                  model: TissueModel, wave_source=None):
@@ -220,8 +226,6 @@ class StepContext:
         self.speed = coef.SpeedTable(model, self.theta_cell, slope=True)
         q_vals, dq = self.speed.q(derivative=True)
         b_vals, db = self.speed.beta(derivative=True)
-        s_q = fem.assemble_weighted_stiffness(space, (q_vals, dq[:, :, None] * theta_grad))
-        s_b = fem.assemble_weighted_stiffness(space, (b_vals, db[:, :, None] * theta_grad))
 
         k_w, k_k = self.speed.k()
         self.k_cell = k_w if variant.tag == "westervelt" else k_k
@@ -229,8 +233,17 @@ class StepContext:
         self.d1u = delta1(self.scheme, state.u)
         self.d2u = delta2(self.scheme, state.u)
         self.d1theta = delta1(self.scheme, state.theta)
-        self.stiff_frozen = (tau * tau) * s_q + (tau * self.scheme.lead1) * s_b
-        self.sb_d1 = s_b @ self.d1u
+        # tau^2 a(., q phi) + tau lead1 a(., beta phi) in one assembly: the
+        # form is linear in the weight and its gradient.
+        cq, cb = tau * tau, tau * self.scheme.lead1
+        self.stiff_frozen = fem.assemble_weighted_stiffness(
+            space, (cq * q_vals + cb * b_vals, (cq * dq + cb * db)[:, :, None] * theta_grad))
+        # a(d1u, beta phi_i) as a load:
+        # integral of beta grad d1u . grad phi_i + (grad d1u . grad beta) phi_i
+        self.grad_d1u = self.fev.fe_gradients(self.d1u)
+        d1u_dot_theta = np.einsum("cqe,cqe->cq", self.grad_d1u, theta_grad)
+        self.sb_d1 = (fem._gradient_load(space, b_vals[:, :, None] * self.grad_d1u)
+                      + fem.assemble_load(space, db * d1u_dot_theta))
         self.t_next = state.time + tau
         self.f_load = fem.assemble_load(space, wave_source, self.t_next)
 
@@ -250,7 +263,7 @@ class StepContext:
             ut_cell = fev.fe_values(ut_vec)
             n1 = 1.0 + 2.0 * self.k_cell * ut_cell
             gu = fev.fe_gradients(u_vec)
-            gut = fev.fe_gradients(ut_vec)
+            gut = (self.scheme.lead1 * gu - self.grad_d1u) / self.tau
             n2 = 2.0 * np.einsum("cqe,cqe->cq", gu, gut)
         return n1, n2
 
@@ -459,6 +472,9 @@ def run_simulation(space: FESpace, *, scheme: TimeScheme, variant: EquationVaria
         max_u.append(float(np.abs(u_new).max()))
         max_theta.append(float(np.abs(theta_new).max()))
         emit(n + 1)
+        # The next context is built from the state alone; releasing this
+        # one first keeps two steps' tables and matrices from coexisting.
+        del ctx
 
     return SimulationResult(state=state, reports=reports,
                             max_u=np.asarray(max_u), max_theta=np.asarray(max_theta))

@@ -188,6 +188,22 @@ class TestWeightedStiffness:
         a = assemble_weighted_stiffness(sp, w).to_dense()
         assert np.abs(a - a.T).max() > 1e-10
 
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_matches_einsum_reference(self, degree, rng):
+        sp = build_space(unit_square_mesh(4), degree)
+        fev = sp.values()
+        nt, nq = fev.points.shape[:2]
+        w_vals = rng.standard_normal((nt, nq))
+        w_grads = rng.standard_normal((nt, nq, 2))
+        a = assemble_weighted_stiffness(sp, (w_vals, w_grads)).to_dense()
+        local = np.einsum("q,cq,cbqe,caqe->cab", fev.weights, w_vals, fev.dphi, fev.dphi)
+        local += np.einsum("q,cbqe,cqe,aq->cab", fev.weights, fev.dphi, w_grads, fev.phi)
+        local *= fev.areas[:, None, None]
+        ref = np.zeros((sp.n_dofs, sp.n_dofs))
+        cd = sp.cell_dofs
+        np.add.at(ref, (cd[:, :, None], cd[:, None, :]), local)
+        assert np.abs(a - ref).max() <= 1e-13 * np.abs(ref).max()
+
 
 class TestLoad:
     def test_zero_source(self):
@@ -251,7 +267,7 @@ class TestRitz:
         f = sine_field()
         r = ritz_projection(sp, f)
         k = sp.stiffness_matrix()
-        rhs = fem._gradient_load(sp, f, 0.0, sp.assembly_degree)
+        rhs = fem._gradient_load(sp, f.gradient(sp.values().points))
         residual = rhs - k @ r.values
         scale = max(np.abs(rhs).max(), 1.0)
         probes = rng.choice(sp.interior_dofs, size=20, replace=False)

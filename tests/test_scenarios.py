@@ -188,6 +188,27 @@ class TestDrivenSource:
         assert slow.value(pts, 2.5e-5) == pytest.approx(0.0, abs=1e-9 * 1.0e12)
         assert slow.value(pts, 1.0e-4) == pytest.approx(slow.value(pts, 0.0), rel=1e-9)
 
+    def test_cached_profile_is_bit_identical(self, rng):
+        # The profile of the last point set is reused; every call must equal
+        # the formula evaluated from scratch, bit for bit.
+        amp, freq = 1.0e12, 1.0e5
+
+        def uncached(x, t):
+            r = np.hypot(x[..., 0], x[..., 1])
+            ang = np.arctan2(x[..., 1], x[..., 0])
+            inside = (r <= R0) & (np.abs(ang) <= HALF_ANGLE)
+            w = np.where(inside, np.cos(1.75 * ang), 0.0)
+            radial = (r / R0) * (np.exp(-40.0 * r / R0) - math.exp(-40.0))
+            return amp * w * radial * math.cos(2.0 * math.pi * freq * t)
+
+        f0 = example3_source(amp, freq)
+        a = polar_points(rng.uniform(0.0, 1.2 * R0, 64), rng.uniform(-1.2, 1.2, 64) * HALF_ANGLE)
+        b = polar_points(rng.uniform(0.0, 1.2 * R0, 64), rng.uniform(-1.2, 1.2, 64) * HALF_ANGLE)
+        for pts, t in ((a, 1.0e-7), (a.copy(), 2.3e-6), (b, 2.3e-6)):
+            got = f0.value(pts, t)
+            assert np.any(got != 0.0)
+            assert np.array_equal(got, uncached(pts, t))
+
 
 class TestScenarioConfig:
     def test_rejects_unknown_example(self):

@@ -334,6 +334,46 @@ class TestWaveStep:
             assert all(incs[j + 1] < incs[j] for j in range(len(incs) - 1))
 
 
+class TestStepContext:
+    @staticmethod
+    def context(scheme, variant, rng, degree=1):
+        # tau = 1e-3 makes tau^2 q and tau beta comparable for liver tissue,
+        # so both weights and their theta gradients show in the sums.
+        space = small_space(6, degree)
+        state = zero_state(space, tau=1e-3, depth=scheme.depth)
+        state.u = [interior_vector(space, rng, scale=0.1) for _ in range(scheme.depth)]
+        state.theta = [interior_vector(space, rng, scale=5.0) for _ in range(scheme.depth - 1)]
+        return state, StepContext(state, scheme, variant, LIVER_QUADRATIC)
+
+    @pytest.mark.parametrize("scheme", [EULER, BDF2], ids=["euler", "bdf2"])
+    @pytest.mark.parametrize("variant", [WESTERVELT, KUZNETSOV], ids=["w", "k"])
+    def test_frozen_parts_match_two_assemblies(self, scheme, variant, rng):
+        state, ctx = self.context(scheme, variant, rng)
+        assert ctx.scheme is scheme
+        space, tau = ctx.space, ctx.tau
+        theta_grad = ctx.fev.fe_gradients(state.theta[0])
+        q_vals, dq = ctx.speed.q(derivative=True)
+        b_vals, db = ctx.speed.beta(derivative=True)
+        s_q = fem.assemble_weighted_stiffness(space, (q_vals, dq[:, :, None] * theta_grad))
+        s_b = fem.assemble_weighted_stiffness(space, (b_vals, db[:, :, None] * theta_grad))
+
+        expected = ((tau * tau) * s_q + (tau * scheme.lead1) * s_b).to_dense()
+        got = ctx.stiff_frozen.to_dense()
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+        expected = s_b @ ctx.d1u
+        assert np.abs(ctx.sb_d1 - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("scheme", [EULER, BDF2], ids=["euler", "bdf2"])
+    def test_kuznetsov_remainder_matches_gradients_of_ut(self, scheme, rng):
+        _, ctx = self.context(scheme, KUZNETSOV, rng, degree=2)
+        u = interior_vector(ctx.space, rng, scale=0.1)
+        _, n2 = ctx.nonlinearity(u)
+        ut = (scheme.lead1 * u - ctx.d1u) / ctx.tau
+        expected = 2.0 * np.einsum("cqe,cqe->cq", ctx.fev.fe_gradients(u),
+                                   ctx.fev.fe_gradients(ut))
+        assert np.abs(n2 - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
 class TestEnergyDecay:
     def test_linear_wave_energy_nonincreasing(self):
         # E^n = 0.5 ||(u^n - u^{n-1}) / tau||_M^2 + (q/2) |u^n|_K^2 must not
