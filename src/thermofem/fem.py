@@ -14,8 +14,8 @@ sum to one, so integrals are area * sum(w * f).
 Assembly weights can be analytic fields (ScalarField), finite element
 functions, plain numbers, or raw per-cell quadrature tables.  Mass,
 stiffness and load tables are einsum contractions; the weighted stiffness
-form, assembled every time step, builds its local matrices with GEMMs (see
-assemble_weighted_stiffness).
+form, assembled every time step, builds its local matrices with one GEMM
+against a table of reference basis products (see assemble_weighted_stiffness).
 """
 from __future__ import annotations
 
@@ -52,6 +52,9 @@ __all__ = [
 # Gradients of the barycentric coordinates on the reference triangle
 # (0,0)-(1,0)-(0,1) with respect to (xi, eta).
 _DLAMBDA = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+
+# Cells per block of the weighted stiffness kernel's per-point table.
+_CELL_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -483,34 +486,29 @@ def assemble_weighted_stiffness(space: FESpace, weight, t: float = 0.0,
     i.e. the weight multiplies the test function inside the bilinear form
     and its gradient enters through the product rule.
 
-    The local matrices come from GEMMs instead of a contraction over
-    (cell, point, component, basis).  P1 gradients are constant on a cell,
-    so with D the cell's (component, basis) gradient block the local matrix
-    is Z^T D, where Z[e, a] = sum_q area w_q (w(x_q) D[e, a] + phi_a(x_q) d_e w(x_q))
-    is summed over the points first: a (3 x 2)(2 x 3) product per cell.
-    Higher degrees map the form to the reference cell: with G = J^{-1}, the
-    cell enters only through area * G G^T (3 entries) times w and
-    area * G grad w, so one GEMM of those per-point values against the
-    FEValues.reference_products table gives every local matrix.
+    The local matrices come from one GEMM instead of a contraction over
+    (cell, point, component, basis).  The form is mapped to the reference
+    cell: with G = J^{-1}, a cell enters only through area * G G^T
+    (3 entries) times w and area * G grad w, so one GEMM of those
+    (cells x 5 points) values against the FEValues.reference_products
+    table gives every local matrix, for every degree.  The per-point
+    values are built for _CELL_BLOCK cells at a time, so that table stays
+    small on large meshes.
     """
     fev = space.values(quad_degree)
     w_vals, w_grads = _weight_tables(fev, weight, t, need_gradient=True)
-    if space.degree == 1:
-        d = fev.dphi.transpose(0, 2, 3, 1)[:, 0]  # (nt, 2, 3), contiguous rows
-        zt = np.matmul(fev.weights * fev.phi, w_grads)
-        zt += (w_vals @ fev.weights)[:, None, None] * d.transpose(0, 2, 1)
-        zt *= fev.areas[:, None, None]
-        local = np.matmul(zt, d)
-    else:
-        nt, nq = w_vals.shape
-        inv = space._inv_jac * fev.areas[:, None, None]
-        metric = np.matmul(inv, space._inv_jac.transpose(0, 2, 1))
-        x = np.empty((nt, 5, nq))
-        x[:, :3] = metric[:, [0, 0, 1], [0, 1, 1], None] * w_vals[:, None, :]
-        x[:, 3:] = np.matmul(inv, w_grads.transpose(0, 2, 1))
-        n_loc = fev.phi.shape[0]
-        local = (x.reshape(nt, 5 * nq) @ fev.reference_products).reshape(nt, n_loc, n_loc)
-    return space.matrix_pattern().assemble(local)
+    nt, nq = w_vals.shape
+    inv = space._inv_jac * fev.areas[:, None, None]
+    metric = np.matmul(inv, space._inv_jac.transpose(0, 2, 1))[:, [0, 0, 1], [0, 1, 1], None]
+    n_loc = fev.phi.shape[0]
+    local = np.empty((nt, n_loc * n_loc))
+    for start in range(0, nt, _CELL_BLOCK):
+        cells = slice(start, start + _CELL_BLOCK)
+        x = np.empty((min(_CELL_BLOCK, nt - start), 5, nq))
+        np.multiply(metric[cells], w_vals[cells, None, :], out=x[:, :3])
+        np.matmul(inv[cells], w_grads[cells].transpose(0, 2, 1), out=x[:, 3:])
+        np.matmul(x.reshape(-1, 5 * nq), fev.reference_products, out=local[cells])
+    return space.matrix_pattern().assemble(local.reshape(nt, n_loc, n_loc))
 
 
 def assemble_load(space: FESpace, source, t: float = 0.0,

@@ -188,8 +188,12 @@ class TestWeightedStiffness:
         a = assemble_weighted_stiffness(sp, w).to_dense()
         assert np.abs(a - a.T).max() > 1e-10
 
+    # unit_square_mesh(4) has 32 cells: one block, or blocks of 7 with a
+    # shorter last one
+    @pytest.mark.parametrize("block", [fem._CELL_BLOCK, 7])
     @pytest.mark.parametrize("degree", [1, 2, 3])
-    def test_matches_einsum_reference(self, degree, rng):
+    def test_matches_einsum_reference(self, degree, block, rng, monkeypatch):
+        monkeypatch.setattr(fem, "_CELL_BLOCK", block)
         sp = build_space(unit_square_mesh(4), degree)
         fev = sp.values()
         nt, nq = fev.points.shape[:2]
