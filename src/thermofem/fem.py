@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -44,6 +45,7 @@ __all__ = [
     "assemble_weighted_stiffness",
     "assemble_load",
     "ritz_projection",
+    "point_memo",
     "nodal_interpolate",
     "discrete_laplacian",
     "error_norms",
@@ -368,6 +370,7 @@ class FEValues:
         # physical quadrature points: (nt, nq, 2)
         ref = rule.points[:, 1:]  # (xi, eta)
         self.points = space._v0[:, None, :] + np.einsum("cij,qj->cqi", space._jac, ref)
+        self.points.flags.writeable = False  # keys point_memo tables
         self.weights = rule.weights
         self.areas = space.cell_areas
 
@@ -401,6 +404,42 @@ class FEValues:
 
     def integrate(self, cell_values: np.ndarray) -> float:
         return float(np.einsum("c,q,cq->", self.areas, self.weights, cell_values, optimize=True))
+
+
+def point_memo(fn):
+    """Wrap fn(x), a function of a point table alone, with a one-entry memo.
+
+    A call on a read-only array that owns its data, such as FEValues.points,
+    or on a view of one, such as its reshape to (n, 2), keeps the result,
+    and the next call on the same view returns it without calling fn.  The
+    entry is keyed by that array's identity, held through a weak reference,
+    so it goes when the array does; no copy of the points is kept or
+    compared.  Any other input is evaluated by fn and not kept.  Results
+    are read-only, since they may be shared between callers.
+    """
+    entry = None  # (weak reference to the owner, view geometry, result)
+
+    def drop(ref):
+        nonlocal entry
+        if entry is not None and entry[0] is ref:
+            entry = None
+
+    def memo(x):
+        nonlocal entry
+        owner = x if x.base is None else x.base
+        keep = (isinstance(owner, np.ndarray) and owner.flags.owndata
+                and not owner.flags.writeable)
+        key = (x.shape, x.strides, x.__array_interface__["data"][0])
+        hit = entry
+        if keep and hit is not None and hit[0]() is owner and hit[1] == key:
+            return hit[2]
+        out = np.asarray(fn(x))
+        out.flags.writeable = False
+        if keep:
+            entry = (weakref.ref(owner, drop), key, out)
+        return out
+
+    return memo
 
 
 @dataclass
@@ -546,16 +585,24 @@ def ritz_projection(space: FESpace, field: ScalarField, t: float = 0.0) -> FEFun
     The field must provide a gradient.  Interior values solve the reduced
     stiffness system; boundary values are exactly zero.
     """
+    return FEFunction(space, _ritz_values(space, [field], t)[0])
+
+
+def _ritz_values(space: FESpace, fields, t: float) -> list:
+    """Coefficient vectors of the Ritz projections of several fields, from
+    one factorization of the interior stiffness matrix, which is released
+    on return."""
     fev = space.values()
-    g = field.gradient(fev.points.reshape(-1, 2), t).reshape(fev.points.shape)
-    rhs = _gradient_load(space, g)
-    k = space.stiffness_matrix()
+    pts = fev.points.reshape(-1, 2)
     idx = space.interior_dofs
-    k_ii = k.submatrix(idx, idx)
-    x = linalg.factorize(k_ii)(rhs[idx])
-    out = np.zeros(space.n_dofs)
-    out[idx] = x
-    return FEFunction(space, out)
+    lu = linalg.factorize(space.stiffness_matrix().submatrix(idx, idx))
+    out = []
+    for field in fields:
+        rhs = _gradient_load(space, field.gradient(pts, t).reshape(fev.points.shape))
+        values = np.zeros(space.n_dofs)
+        values[idx] = lu(rhs[idx])
+        out.append(values)
+    return out
 
 
 def nodal_interpolate(space: FESpace, field: ScalarField, t: float = 0.0) -> FEFunction:

@@ -44,6 +44,30 @@ _TWO_PI = 2.0 * math.pi
 _FOUR_PI = 4.0 * math.pi
 
 
+def _profile(fn, freq):
+    """Table of fn(freq x1) and fn(freq x2), stacked on a leading axis."""
+
+    def table(x):
+        out = np.empty((2,) + x.shape[:-1])
+        fn(freq * x[..., 0], out=out[0, ...])
+        fn(freq * x[..., 1], out=out[1, ...])
+        return out
+
+    return fem.point_memo(table)
+
+
+# The exact fields are these profiles times exp(+-rate t); on a quadrature
+# table they are evaluated once and reused by every step's sources.
+_U_SINES = _profile(np.sin, _TWO_PI)
+_U_COSINES = _profile(np.cos, _TWO_PI)
+_THETA_SINES = _profile(np.sin, _FOUR_PI)
+
+
+def _separable_grad(amp, s1, c1, s2, c2):
+    """Gradient of amp' sin(k x1) sin(k x2), with amp = amp' k."""
+    return np.stack([amp * c1 * s2, amp * s1 * c2], axis=-1)
+
+
 @dataclass(frozen=True)
 class ManufacturedPair:
     """Separable exact pair on the unit square, zero on the boundary:
@@ -59,9 +83,8 @@ class ManufacturedPair:
 
     # -- wave field ----------------------------------------------------
     def u(self, x, t):
-        x = np.asarray(x, dtype=np.float64)
-        return (self.a1 * math.exp(self.rate1 * t)
-                * np.sin(_TWO_PI * x[..., 0]) * np.sin(_TWO_PI * x[..., 1]))
+        s = _U_SINES(np.asarray(x, dtype=np.float64))
+        return self.a1 * math.exp(self.rate1 * t) * s[0] * s[1]
 
     def u_t(self, x, t):
         return self.rate1 * self.u(x, t)
@@ -74,16 +97,15 @@ class ManufacturedPair:
         amp = self.a1 * math.exp(self.rate1 * t) * _TWO_PI
         s1, c1 = np.sin(_TWO_PI * x[..., 0]), np.cos(_TWO_PI * x[..., 0])
         s2, c2 = np.sin(_TWO_PI * x[..., 1]), np.cos(_TWO_PI * x[..., 1])
-        return np.stack([amp * c1 * s2, amp * s1 * c2], axis=-1)
+        return _separable_grad(amp, s1, c1, s2, c2)
 
     def lap_u(self, x, t):
         return -2.0 * _TWO_PI * _TWO_PI * self.u(x, t)
 
     # -- temperature field ---------------------------------------------
     def theta(self, x, t):
-        x = np.asarray(x, dtype=np.float64)
-        return (self.a2 * math.exp(-self.rate2 * t)
-                * np.sin(_FOUR_PI * x[..., 0]) * np.sin(_FOUR_PI * x[..., 1]))
+        s = _THETA_SINES(np.asarray(x, dtype=np.float64))
+        return self.a2 * math.exp(-self.rate2 * t) * s[0] * s[1]
 
     def theta_t(self, x, t):
         return -self.rate2 * self.theta(x, t)
@@ -93,7 +115,7 @@ class ManufacturedPair:
         amp = self.a2 * math.exp(-self.rate2 * t) * _FOUR_PI
         s1, c1 = np.sin(_FOUR_PI * x[..., 0]), np.cos(_FOUR_PI * x[..., 0])
         s2, c2 = np.sin(_FOUR_PI * x[..., 1]), np.cos(_FOUR_PI * x[..., 1])
-        return np.stack([amp * c1 * s2, amp * s1 * c2], axis=-1)
+        return _separable_grad(amp, s1, c1, s2, c2)
 
     def lap_theta(self, x, t):
         return -2.0 * _FOUR_PI * _FOUR_PI * self.theta(x, t)
@@ -113,24 +135,42 @@ class ManufacturedPair:
 
     # -- source terms that make the pair solve the coupled system -------
     def wave_source(self, variant, model: TissueModel) -> ScalarField:
+        # The sums below run in place but in the order of the formula
+        # utt - q lap - b rate1 lap (+ the nonlinear term), so the values
+        # are those of the plain expression while fewer tables are live.
         def f(x, t):
             u = self.u(x, t)
             ut = self.rate1 * u
             utt = self.rate1 * ut
-            th = self.theta(x, t)
-            speed = SpeedTable(model, th)
-            q = speed.q()
-            b = speed.beta()
+            speed = SpeedTable(model, self.theta(x, t))
             lap = -2.0 * _TWO_PI * _TWO_PI * u
-            out = utt - q * lap - b * self.rate1 * lap
+            out = speed.q()
+            out *= lap
+            out = utt - out
+            damping = speed.beta()
+            damping *= self.rate1
+            damping *= lap
+            out -= damping
             if not variant.linear:
                 k_w, k_k = speed.k()
                 if variant.tag == "westervelt":
-                    out = out + 2.0 * k_w * (u * utt + ut * ut)
+                    energy = u * utt
+                    energy += ut * ut
+                    k_w *= 2.0
+                    k_w *= energy
+                    out += k_w
                 else:
-                    g = self.grad_u(x, t)
-                    out = out + 2.0 * k_k * ut * utt \
-                        + 2.0 * self.rate1 * np.einsum("...e,...e->...", g, g)
+                    k_k *= 2.0
+                    k_k *= ut
+                    k_k *= utt
+                    out += k_k
+                    # grad u from the tabulated profiles, as grad_u forms it
+                    s, c = _U_SINES(x), _U_COSINES(x)
+                    amp = self.a1 * math.exp(self.rate1 * t) * _TWO_PI
+                    g = _separable_grad(amp, s[0], c[0], s[1], c[1])
+                    g2 = np.einsum("...e,...e->...", g, g)
+                    g2 *= 2.0 * self.rate1
+                    out += g2
             return out
 
         return ScalarField(f)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .coefficients import (KUZNETSOV, LIVER_QUINTIC, WESTERVELT, derived_heat_params)
-from .fem import ScalarField, build_space
+from .fem import ScalarField, build_space, point_memo
 from .mesh import ARC_RADIUS, focused_domain_mesh
 from .output import write_snapshot_csv, write_vtk
 from .stepping import (FixedPointConfig, SimulationResult, run_simulation,
@@ -119,21 +119,20 @@ def example3_source(amplitude: float = DEFAULT_AMPLITUDES[3],
                     frequency: float = 1.0e5) -> ScalarField:
     """Time-harmonic interior forcing for the driven run.
 
-    The spatial profile of the last point set seen is kept, so a run that
-    evaluates the source on the same quadrature points every step computes
-    only the time factor.  The points are compared by value, since callers
-    pass fresh views of one table.
+    The spatial profile is tabulated through fem.point_memo, so a run that
+    evaluates the source on the same read-only quadrature table every step
+    computes only the time factor.
     """
     edge = math.exp(-40.0)
-    last = {}
+
+    @point_memo
+    def profile(x):
+        r, w = _window(x)
+        radial = (r / TRANSDUCER_RADIUS) * (np.exp(-40.0 * r / TRANSDUCER_RADIUS) - edge)
+        return amplitude * w * radial
 
     def f0(x, t):
-        if "points" not in last or not np.array_equal(last["points"], x):
-            r, w = _window(x)
-            radial = (r / TRANSDUCER_RADIUS) * (np.exp(-40.0 * r / TRANSDUCER_RADIUS) - edge)
-            last["points"] = np.array(x, dtype=np.float64)
-            last["profile"] = amplitude * w * radial
-        return last["profile"] * math.cos(2.0 * math.pi * frequency * t)
+        return profile(x) * math.cos(2.0 * math.pi * frequency * t)
 
     return ScalarField(f0)
 

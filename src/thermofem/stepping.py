@@ -379,22 +379,33 @@ def heat_step(ctx: StepContext, u_new: np.ndarray, heat: HeatParams, factor_cach
     return theta_new, rep
 
 
-def _project(space: FESpace, data, projection: str) -> np.ndarray:
-    if isinstance(data, FEFunction):
-        if data.space is not space:
-            raise ValueError("initial data lives on a different space")
-        return data.values.copy()
-    if isinstance(data, np.ndarray):
-        if data.shape != (space.n_dofs,):
-            raise ValueError("initial coefficient vector has the wrong length")
-        return data.astype(np.float64, copy=True)
-    if not isinstance(data, ScalarField):
-        raise TypeError(f"unsupported initial data type {type(data).__name__}")
-    if projection == "ritz":
-        return fem.ritz_projection(space, data, 0.0).values
-    if projection == "nodal":
-        return fem.nodal_interpolate(space, data, 0.0).values
-    raise ValueError(f"unknown projection {projection!r} (expected 'ritz' or 'nodal')")
+def _project(space: FESpace, data, projection: str) -> list:
+    """Coefficient vectors of the initial data, in order.  ScalarFields are
+    projected per `projection`; Ritz projections share one factorization."""
+    out = []
+    ritz = []
+    for item in data:
+        if isinstance(item, FEFunction):
+            if item.space is not space:
+                raise ValueError("initial data lives on a different space")
+            out.append(item.values.copy())
+        elif isinstance(item, np.ndarray):
+            if item.shape != (space.n_dofs,):
+                raise ValueError("initial coefficient vector has the wrong length")
+            out.append(item.astype(np.float64, copy=True))
+        elif not isinstance(item, ScalarField):
+            raise TypeError(f"unsupported initial data type {type(item).__name__}")
+        elif projection == "ritz":
+            ritz.append(len(out))
+            out.append(item)
+        elif projection == "nodal":
+            out.append(fem.nodal_interpolate(space, item, 0.0).values)
+        else:
+            raise ValueError(f"unknown projection {projection!r} (expected 'ritz' or 'nodal')")
+    if ritz:
+        for i, values in zip(ritz, fem._ritz_values(space, [out[i] for i in ritz], 0.0)):
+            out[i] = values
+    return out
 
 
 def run_simulation(space: FESpace, *, scheme: TimeScheme, variant: EquationVariant,
@@ -419,9 +430,7 @@ def run_simulation(space: FESpace, *, scheme: TimeScheme, variant: EquationVaria
     if n_steps is None:
         n_steps = step_count(final_time, tau)
 
-    u0_vec = _project(space, u0, projection)
-    u1_vec = _project(space, u1, projection)
-    theta0_vec = _project(space, theta0, projection)
+    u0_vec, u1_vec, theta0_vec = _project(space, (u0, u1, theta0), projection)
     ghost = u0_vec - tau * u1_vec  # backfilled level u^{-1}
 
     state = SimulationState(space=space, tau=tau, step=0, time=0.0,

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -399,6 +401,48 @@ class TestErrorNorms:
         diff = FEFunction(sp, pert - vals)
         l2, _, _ = error_norms(diff, None)
         assert 0.0 < l2 <= eps * phi_norm * (1 + 1e-12)
+
+
+class TestPointMemo:
+    def test_quadrature_points_are_read_only(self):
+        fev = build_space(unit_square_mesh(2), 1).values()
+        with pytest.raises(ValueError):
+            fev.points[0, 0, 0] = 0.5
+        with pytest.raises(ValueError):
+            fev.points.reshape(-1, 2)[0] = 0.5
+
+    def test_read_only_table_is_evaluated_once_and_released(self):
+        calls = []
+
+        def fn(x):
+            calls.append(x.shape)
+            return x[..., 0] + x[..., 1]
+
+        memo = fem.point_memo(fn)
+        fev = build_space(unit_square_mesh(2), 1).values()
+        pts = fev.points.reshape(-1, 2)
+        first = memo(pts)
+        assert memo(fev.points.reshape(-1, 2)) is first
+        assert len(calls) == 1
+        assert np.array_equal(first, pts[:, 0] + pts[:, 1])
+        assert not first.flags.writeable
+        # another view of the same table is not the same input
+        assert np.array_equal(memo(fev.points[:, 0]), fev.points[:, 0].sum(axis=-1))
+        assert len(calls) == 2
+        # the entry goes with the table it was keyed on
+        kept = weakref.ref(memo(pts))
+        del fev, pts, first
+        gc.collect()
+        assert kept() is None
+
+    def test_writable_points_are_evaluated_every_call(self, rng):
+        calls = []
+        memo = fem.point_memo(lambda x: calls.append(1) or x.sum(axis=-1))
+        pts = rng.uniform(size=(5, 2))
+        memo(pts)
+        pts[:] = rng.uniform(size=(5, 2))
+        assert np.array_equal(memo(pts), pts.sum(axis=-1))
+        assert len(calls) == 2
 
 
 class TestFEFunction:

@@ -14,6 +14,7 @@ from thermofem import (
     ConvergenceConfig,
     FEFunction,
     HeatParams,
+    LINEAR_WAVE,
     ScalarField,
     SimulationState,
     StudyResult,
@@ -27,6 +28,7 @@ from thermofem import (
     q_of_theta,
     unit_square_mesh,
 )
+from thermofem.coefficients import SpeedTable
 from thermofem.mms import ManufacturedPair, MeshRow, plateau_index, single_mesh_run, total_error
 
 HEAT = HeatParams(kappa=1.0, nu=1e-5)
@@ -233,6 +235,70 @@ class TestSourceOracles:
         envelope = (pair.rate2 + HEAT.kappa * 2.0 * (4 * math.pi) ** 2 + HEAT.nu) * pair.a2
         for t in (0.0, 2.0, 5.0):
             assert np.max(np.abs(field.value(x, t))) <= envelope * math.exp(-pair.rate2 * t)
+
+
+TWO_PI = 2.0 * math.pi
+FOUR_PI = 4.0 * math.pi
+
+
+def written_out_sources(pair, variant, model, heat, x, t):
+    """(wave, heat) sources evaluated from scratch, in the product order of
+    ManufacturedPair, so a tabulated profile must reproduce them bit for bit."""
+    s1, s2 = np.sin(TWO_PI * x[..., 0]), np.sin(TWO_PI * x[..., 1])
+    u = pair.a1 * math.exp(pair.rate1 * t) * s1 * s2
+    th = (pair.a2 * math.exp(-pair.rate2 * t)
+          * np.sin(FOUR_PI * x[..., 0]) * np.sin(FOUR_PI * x[..., 1]))
+    ut = pair.rate1 * u
+    utt = pair.rate1 * ut
+    speed = SpeedTable(model, th)
+    lap = -2.0 * TWO_PI * TWO_PI * u
+    wave = utt - speed.q() * lap - speed.beta() * pair.rate1 * lap
+    k_w, k_k = speed.k()
+    if variant is WESTERVELT:
+        wave = wave + 2.0 * k_w * (u * utt + ut * ut)
+    elif variant is KUZNETSOV:
+        c1, c2 = np.cos(TWO_PI * x[..., 0]), np.cos(TWO_PI * x[..., 1])
+        amp = pair.a1 * math.exp(pair.rate1 * t) * TWO_PI
+        g = np.stack([amp * c1 * s2, amp * s1 * c2], axis=-1)
+        wave = wave + 2.0 * k_k * ut * utt + 2.0 * pair.rate1 * np.einsum("...e,...e->...", g, g)
+    a1, a2 = absorption_weights(variant, model, th)
+    absorbed = a1 * u * u + a2 * ut * ut
+    heat_src = (-pair.rate2 * th - heat.kappa * (-2.0 * FOUR_PI * FOUR_PI * th)
+                + heat.nu * th - absorbed)
+    return wave, heat_src
+
+
+class TestTabulatedProfiles:
+    """The sine profiles are tabulated once per read-only quadrature table;
+    every evaluation must still equal the formula, bit for bit."""
+
+    @pytest.mark.parametrize("variant", [WESTERVELT, KUZNETSOV, LINEAR_WAVE],
+                             ids=["w", "k", "linear"])
+    def test_sources_bit_identical_on_tables(self, variant):
+        pair = ManufacturedPair(a1=0.8, a2=2e-4, rate1=1.3, rate2=0.4)
+        wave = pair.wave_source(variant, LIVER_QUADRATIC)
+        heat = pair.heat_source(variant, LIVER_QUADRATIC, HEAT)
+        first, second = (build_space(unit_square_mesh(n), 2) for n in (3, 4))
+        table = first.values(first.error_degree).points.reshape(-1, 2)
+        other = second.values(second.error_degree).points.reshape(-1, 2)
+        for pts, t in ((table, 0.0), (table, 0.3), (table, 0.7), (table.copy(), 0.7),
+                       (other, 0.2), (table, 0.9)):
+            want_wave, want_heat = written_out_sources(pair, variant, LIVER_QUADRATIC,
+                                                       HEAT, pts, t)
+            assert np.array_equal(wave.value(pts, t), want_wave)
+            assert np.array_equal(heat.value(pts, t), want_heat)
+
+    def test_mutated_writable_points_are_not_stale(self, rng):
+        pair = ManufacturedPair()
+        wave = pair.wave_source(WESTERVELT, LIVER_QUADRATIC)
+        heat = pair.heat_source(WESTERVELT, LIVER_QUADRATIC, HEAT)
+        pts = rng.uniform(0.0, 1.0, size=(40, 2))
+        wave.value(pts, 0.5), heat.value(pts, 0.5)
+        pts[:] = rng.uniform(0.0, 1.0, size=(40, 2))
+        want_wave, want_heat = written_out_sources(pair, WESTERVELT, LIVER_QUADRATIC,
+                                                   HEAT, pts, 0.5)
+        assert np.array_equal(wave.value(pts, 0.5), want_wave)
+        assert np.array_equal(heat.value(pts, 0.5), want_heat)
 
 
 class TestTotalError:

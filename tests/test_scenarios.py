@@ -189,8 +189,8 @@ class TestDrivenSource:
         assert slow.value(pts, 1.0e-4) == pytest.approx(slow.value(pts, 0.0), rel=1e-9)
 
     def test_cached_profile_is_bit_identical(self, rng):
-        # The profile of the last point set is reused; every call must equal
-        # the formula evaluated from scratch, bit for bit.
+        # The profile of a read-only point table is reused; every call must
+        # equal the formula evaluated from scratch, bit for bit.
         amp, freq = 1.0e12, 1.0e5
 
         def uncached(x, t):
@@ -204,7 +204,10 @@ class TestDrivenSource:
         f0 = example3_source(amp, freq)
         a = polar_points(rng.uniform(0.0, 1.2 * R0, 64), rng.uniform(-1.2, 1.2, 64) * HALF_ANGLE)
         b = polar_points(rng.uniform(0.0, 1.2 * R0, 64), rng.uniform(-1.2, 1.2, 64) * HALF_ANGLE)
-        for pts, t in ((a, 1.0e-7), (a.copy(), 2.3e-6), (b, 2.3e-6)):
+        frozen = a.copy()
+        frozen.flags.writeable = False
+        for pts, t in ((a, 1.0e-7), (a.copy(), 2.3e-6), (b, 2.3e-6), (frozen, 0.0),
+                       (frozen, 2.3e-6), (b, 1.0e-7), (frozen, 1.0e-7)):
             got = f0.value(pts, t)
             assert np.any(got != 0.0)
             assert np.array_equal(got, uncached(pts, t))

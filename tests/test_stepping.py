@@ -515,6 +515,27 @@ class TestRunSimulation:
         assert [r.iterations for r in first.reports] == [r.iterations for r in second.reports]
         assert [r.increments for r in first.reports] == [r.increments for r in second.reports]
 
+    def test_ritz_projections_share_one_factorization(self, monkeypatch):
+        space = small_space(6)
+        tau = 0.05
+        seen = {}
+
+        def hook(idx, t, u, theta):
+            seen.update(factorizations=len(calls), u=u.values, theta=theta.values)
+
+        calls = count_factorizations(monkeypatch)
+        result = run_simulation(
+            space, scheme=EULER, variant=LINEAR_WAVE, model=CONSTANT_MEDIUM,
+            heat=HeatParams(1.0, 0.0), tau=tau, n_steps=1, u0=SINE_INITIAL,
+            u1=SINE_VELOCITY, theta0=SINE_INITIAL, projection="ritz",
+            snapshot_indices=[0], on_snapshot=hook)
+        assert seen["factorizations"] == 1
+        u0 = fem.ritz_projection(space, SINE_INITIAL).values
+        u1 = fem.ritz_projection(space, SINE_VELOCITY).values
+        assert np.array_equal(seen["u"], u0)
+        assert np.array_equal(seen["theta"], u0)
+        assert np.array_equal(result.state.u[2], u0 - tau * u1)
+
     def test_final_time_must_divide(self):
         space = small_space(2)
         z = np.zeros(space.n_dofs)
