@@ -8,13 +8,11 @@ studies, and packaged focused-ultrasound heating scenarios.
 """
 from .coefficients import (DegeneracyError, EquationVariant, HeatParams, KUZNETSOV,
                            LINEAR_WAVE, LIVER_QUADRATIC, LIVER_QUINTIC, TissueModel,
-                           WESTERVELT, absorbed_energy, absorption_weights,
-                           beta_of_theta, derived_heat_params, k_coefficients,
-                           q_of_theta, speed_of_sound, variant_by_name)
+                           WESTERVELT, absorption_weights, derived_heat_params,
+                           speed_of_sound, variant_by_name)
 from .fem import (FEFunction, FESpace, ScalarField, assemble_load, assemble_mass,
                   assemble_stiffness, assemble_weighted_stiffness, build_space,
-                  constant_field, error_norms, nodal_interpolate, ritz_projection,
-                  triangle_rule)
+                  error_norms, nodal_interpolate, ritz_projection, triangle_rule)
 from .mesh import (Mesh, MeshFormatError, focused_domain_mesh, load_mesh, mirror_vertex_map,
                    save_mesh, unit_square_mesh)
 from .mms import ConvergenceConfig, ManufacturedPair, StudyResult, convergence_study
@@ -33,7 +31,7 @@ __all__ = [
     "Mesh", "MeshFormatError", "unit_square_mesh",
     "focused_domain_mesh", "mirror_vertex_map", "load_mesh", "save_mesh",
     # fem
-    "FESpace", "FEFunction", "ScalarField", "constant_field", "build_space",
+    "FESpace", "FEFunction", "ScalarField", "build_space",
     "triangle_rule", "assemble_mass", "assemble_stiffness",
     "assemble_weighted_stiffness", "assemble_load", "ritz_projection",
     "nodal_interpolate", "error_norms",
@@ -41,8 +39,7 @@ __all__ = [
     "TissueModel", "HeatParams", "EquationVariant", "DegeneracyError",
     "WESTERVELT", "KUZNETSOV", "LINEAR_WAVE",
     "LIVER_QUADRATIC", "LIVER_QUINTIC", "variant_by_name", "speed_of_sound",
-    "q_of_theta", "beta_of_theta", "k_coefficients", "absorption_weights",
-    "absorbed_energy", "derived_heat_params",
+    "absorption_weights", "derived_heat_params",
     # stepping
     "TimeScheme", "EULER", "BDF2", "scheme_by_name", "FixedPointConfig",
     "FixedPointDivergenceError", "DegeneracyWarning", "StepContext", "wave_step",

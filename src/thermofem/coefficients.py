@@ -38,7 +38,6 @@ __all__ = [
     "beta_of_theta",
     "k_coefficients",
     "absorption_weights",
-    "absorbed_energy",
     "derived_heat_params",
 ]
 
@@ -117,7 +116,8 @@ class SpeedTable:
 
     Every law below is a function of c and c', so a caller that needs
     several of them on the same table evaluates the polynomial once here.
-    The module-level functions of theta build a table per call.
+    The module-level functions of theta build a table per call; the
+    benchmark's coefficient-table span wraps them.
     """
 
     __slots__ = ("model", "c", "dc")
@@ -189,9 +189,9 @@ def k_coefficients(model: TissueModel, theta) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class EquationVariant:
-    """Selects the wave model: which nonlinearity is active, whether the
-    gradient coupling term (|grad u|^2)_t participates, and the shape of
-    the absorbed energy Q."""
+    """Selects the wave model: which nonlinearity is active (the Kuznetsov
+    one carries the gradient coupling term (|grad u|^2)_t), whether the
+    linear regime switches it off, and the shape of the absorbed energy Q."""
 
     tag: str
     linear: bool = False
@@ -199,12 +199,6 @@ class EquationVariant:
     def __post_init__(self):
         if self.tag not in ("westervelt", "kuznetsov"):
             raise ValueError(f"unknown variant tag {self.tag!r}")
-
-    @property
-    def grad_coupling(self) -> float:
-        if self.linear:
-            return 0.0
-        return 1.0 if self.tag == "kuznetsov" else 0.0
 
 
 WESTERVELT = EquationVariant("westervelt")
@@ -227,11 +221,6 @@ def variant_by_name(name: str) -> EquationVariant:
 def absorption_weights(variant: EquationVariant, model: TissueModel, theta):
     """Coefficients (a1, a2) of the absorbed energy Q = a1 u^2 + a2 u_t^2."""
     return SpeedTable(model, theta).absorption_weights(variant)
-
-
-def absorbed_energy(variant: EquationVariant, model: TissueModel, u, u_t, theta):
-    """Absorbed acoustic energy Q(u, u_t, theta) driving the heat equation."""
-    return SpeedTable(model, theta).absorbed_energy(variant, u, u_t)
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,8 @@ rules collapsed onto the triangle; a rule of requested degree d integrates
 all polynomials of total degree <= d exactly.  Weights are normalized to
 sum to one, so integrals are area * sum(w * f).
 
-Assembly weights can be analytic fields (ScalarField), finite element
-functions, plain numbers, or raw per-cell quadrature tables.  Mass,
+Assembly weights are analytic fields (ScalarField) or per-cell quadrature
+tables, the latter with a gradient table where the form needs one.  Mass,
 stiffness and load tables are einsum contractions; the weighted stiffness
 form, assembled every time step, builds its local matrices with one GEMM
 against a table of reference basis products (see assemble_weighted_stiffness).
@@ -39,7 +39,6 @@ __all__ = [
     "build_space",
     "FEFunction",
     "ScalarField",
-    "constant_field",
     "assemble_mass",
     "assemble_stiffness",
     "assemble_weighted_stiffness",
@@ -47,7 +46,6 @@ __all__ = [
     "ritz_projection",
     "point_memo",
     "nodal_interpolate",
-    "discrete_laplacian",
     "error_norms",
 ]
 
@@ -75,14 +73,6 @@ class ScalarField:
             raise ValueError("field does not provide a gradient")
         x = np.asarray(x, dtype=np.float64)
         return np.broadcast_to(np.asarray(self.grad(x, t), dtype=np.float64), x.shape).copy()
-
-
-def constant_field(c: float) -> ScalarField:
-    c = float(c)
-    return ScalarField(
-        fn=lambda x, t: np.full(x.shape[:-1], c),
-        grad=lambda x, t: np.zeros(x.shape),
-    )
 
 
 @dataclass(frozen=True)
@@ -459,10 +449,6 @@ class FEFunction:
     def copy(self) -> "FEFunction":
         return FEFunction(self.space, self.values.copy())
 
-    def is_dirichlet_conforming(self, tol: float = 0.0) -> bool:
-        bd = self.values[self.space.boundary_dofs]
-        return bool(np.all(np.abs(bd) <= tol))
-
 
 def _weight_tables(fev: FEValues, weight, t: float, need_gradient: bool):
     """Evaluate an assembly weight on all quadrature points.
@@ -473,8 +459,6 @@ def _weight_tables(fev: FEValues, weight, t: float, need_gradient: bool):
     nt, nq = fev.points.shape[:2]
     if weight is None:
         return np.ones((nt, nq)), (np.zeros((nt, nq, 2)) if need_gradient else None)
-    if np.isscalar(weight):
-        return np.full((nt, nq), float(weight)), (np.zeros((nt, nq, 2)) if need_gradient else None)
     if isinstance(weight, np.ndarray):
         if weight.shape != (nt, nq):
             raise ValueError(f"weight table has shape {weight.shape}, expected ({nt}, {nq})")
@@ -482,12 +466,6 @@ def _weight_tables(fev: FEValues, weight, t: float, need_gradient: bool):
     if isinstance(weight, tuple) and len(weight) == 2:
         vals, grads = weight
         return np.asarray(vals), (np.asarray(grads) if need_gradient else None)
-    if isinstance(weight, FEFunction):
-        if weight.space is not fev.space:
-            raise ValueError("weight function must live on the assembly space")
-        vals = fev.fe_values(weight.values)
-        grads = fev.fe_gradients(weight.values) if need_gradient else None
-        return vals, grads
     if isinstance(weight, ScalarField):
         pts = fev.points.reshape(-1, 2)
         vals = weight.value(pts, t).reshape(fev.points.shape[:2])
@@ -608,20 +586,6 @@ def _ritz_values(space: FESpace, fields, t: float) -> list:
 def nodal_interpolate(space: FESpace, field: ScalarField, t: float = 0.0) -> FEFunction:
     """Lagrange interpolation: coefficients are field values at dof points."""
     return FEFunction(space, field.value(space.dof_coords, t))
-
-
-def discrete_laplacian(space: FESpace, u: FEFunction) -> FEFunction:
-    """Discrete Laplacian L u in V_h: (L u, phi) = -(grad u, grad phi)."""
-    if u.space is not space:
-        raise ValueError("function must live on the given space")
-    k = space.stiffness_matrix()
-    m = space.mass_matrix()
-    idx = space.interior_dofs
-    rhs = -(k @ u.values)[idx]
-    x = linalg.factorize(m.submatrix(idx, idx))(rhs)
-    out = np.zeros(space.n_dofs)
-    out[idx] = x
-    return FEFunction(space, out)
 
 
 def error_norms(u: FEFunction, exact: ScalarField | None, t: float = 0.0,

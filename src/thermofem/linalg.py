@@ -14,27 +14,17 @@ outputs, which the reporting layer relies on.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
 __all__ = [
     "SparseMatrix",
-    "SolveReport",
     "sparse_from_triplets",
     "TripletPattern",
     "matvec",
     "factorize",
 ]
-
-
-@dataclass(frozen=True)
-class SolveReport:
-    iterations: int
-    relative_residual: float
-    method: str
 
 
 class SparseMatrix:
@@ -197,11 +187,12 @@ class _LUSolver:
             raise ValueError(f"right-hand side shape {b.shape} does not match dimension {self.n}")
         return self._lu.solve(b)
 
-    def solve_with_report(self, b) -> tuple[np.ndarray, SolveReport]:
+    def solve_with_report(self, b) -> tuple[np.ndarray, float]:
+        """The solution x and the relative residual |b - a x| / |b| (0 for b = 0)."""
         x = self(b)
         norm_b = float(np.linalg.norm(b))
         res = 0.0 if norm_b == 0.0 else float(np.linalg.norm(b - self._a.scipy() @ x)) / norm_b
-        return x, SolveReport(1, res, "sparse-lu")
+        return x, res
 
 
 def factorize(a: SparseMatrix) -> _LUSolver:

@@ -3,11 +3,10 @@
 Two generators are provided: a uniform triangulation of the unit square
 used by the verification harness, and a boundary-fitted structured mesh of
 the focused-transducer domain (a rectangle whose right side is replaced by
-a circular arc).  Both generators are deterministic.  Meshes can also be
-read from Gmsh ASCII v2.2 files or from a small native CSV format, and
-written back in the native format.
+a circular arc).  Both generators are deterministic.  Meshes are written to
+and read from a small native CSV format.
 
-All triangles are stored counterclockwise; loaders reorient clockwise
+All triangles are stored counterclockwise; the loader reorients clockwise
 cells.  Boundary vertices are derived by edge counting (an edge shared by
 exactly one triangle is a boundary edge).
 """
@@ -242,40 +241,17 @@ def mirror_vertex_map(mesh: Mesh, axis: float = 0.0) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# File formats
-
-
-def _reorient(path, vertices, triangles, lines):
-    """Flip clockwise triangles; reject degenerate ones with their source line."""
-    triangles = np.asarray(triangles, dtype=np.int64)
-    areas = _signed_areas(vertices, triangles)
-    scale = max(float(np.abs(vertices).max()), 1.0)
-    degenerate = np.abs(areas) <= 1e-14 * scale * scale
-    if degenerate.any():
-        k = int(np.argmax(degenerate))
-        raise MeshFormatError(path, lines[k], f"triangle {k} has zero area")
-    flip = areas < 0.0
-    triangles[flip] = triangles[flip][:, [0, 2, 1]]
-    return triangles
+# File format
 
 
 def load_mesh(path) -> Mesh:
-    """Read a mesh from a Gmsh ASCII v2.2 file or the native CSV format."""
+    """Read a mesh in the native CSV format that save_mesh writes.  Clockwise
+    triangles are flipped; a degenerate one is reported with its line."""
     path = Path(path)
     try:
-        text = path.read_text()
+        lines = path.read_text().splitlines()
     except OSError as e:
         raise MeshFormatError(path, 0, f"cannot read file: {e}") from e
-    stripped = text.lstrip()
-    if stripped.startswith("$MeshFormat"):
-        return _load_gmsh(path, text)
-    if stripped.startswith("#vertices"):
-        return _load_native(path, text)
-    raise MeshFormatError(path, 1, "unrecognized mesh format (expected $MeshFormat or #vertices)")
-
-
-def _load_native(path, text) -> Mesh:
-    lines = text.splitlines()
     pos = 0
 
     def expect_header(tag):
@@ -330,99 +306,15 @@ def _load_native(path, text) -> Mesh:
     if triangles.min() < 0 or triangles.max() >= nv:
         bad = int(np.argmax((triangles < 0).any(axis=1) | (triangles >= nv).any(axis=1)))
         raise MeshFormatError(path, tri_lines[bad], "triangle index out of range")
-    triangles = _reorient(path, vertices, triangles, tri_lines)
+    areas = _signed_areas(vertices, triangles)
+    scale = max(float(np.abs(vertices).max()), 1.0)
+    degenerate = np.abs(areas) <= 1e-14 * scale * scale
+    if degenerate.any():
+        k = int(np.argmax(degenerate))
+        raise MeshFormatError(path, tri_lines[k], f"triangle {k} has zero area")
+    flip = areas < 0.0
+    triangles[flip] = triangles[flip][:, [0, 2, 1]]
     return Mesh(vertices, triangles)
-
-
-def _load_gmsh(path, text) -> Mesh:
-    lines = text.splitlines()
-    sections = {}
-    i = 0
-    while i < len(lines):
-        line = lines[i].strip()
-        if line.startswith("$") and not line.startswith("$End"):
-            name = line[1:]
-            start = i + 1
-            end = start
-            while end < len(lines) and lines[end].strip() != f"$End{name}":
-                end += 1
-            if end == len(lines):
-                raise MeshFormatError(path, i + 1, f"section ${name} is not closed")
-            sections[name] = (start, end)
-            i = end + 1
-        else:
-            i += 1
-
-    if "MeshFormat" not in sections:
-        raise MeshFormatError(path, 1, "missing $MeshFormat section")
-    start, _ = sections["MeshFormat"]
-    fmt = lines[start].split()
-    if not fmt or not fmt[0].startswith("2.2"):
-        raise MeshFormatError(path, start + 1, f"unsupported Gmsh format version {fmt[0] if fmt else '?'} (need 2.2)")
-
-    if "Nodes" not in sections:
-        raise MeshFormatError(path, 1, "missing $Nodes section")
-    start, end = sections["Nodes"]
-    try:
-        n_nodes = int(lines[start].split()[0])
-    except (ValueError, IndexError):
-        raise MeshFormatError(path, start + 1, "invalid node count") from None
-    if end - start - 1 != n_nodes:
-        raise MeshFormatError(path, start + 1, f"node count {n_nodes} does not match section size {end - start - 1}")
-    ids = np.empty(n_nodes, dtype=np.int64)
-    coords = np.empty((n_nodes, 2), dtype=np.float64)
-    for k in range(n_nodes):
-        ln = start + 1 + k
-        parts = lines[ln].split()
-        if len(parts) < 4:
-            raise MeshFormatError(path, ln + 1, "node line needs 'id x y z'")
-        try:
-            ids[k] = int(parts[0])
-            coords[k, 0] = float(parts[1])
-            coords[k, 1] = float(parts[2])
-        except ValueError:
-            raise MeshFormatError(path, ln + 1, f"invalid node line {lines[ln]!r}") from None
-    remap = {int(v): k for k, v in enumerate(ids)}
-    if len(remap) != n_nodes:
-        raise MeshFormatError(path, start + 1, "duplicate node ids")
-
-    if "Elements" not in sections:
-        raise MeshFormatError(path, 1, "missing $Elements section")
-    start, end = sections["Elements"]
-    try:
-        n_elems = int(lines[start].split()[0])
-    except (ValueError, IndexError):
-        raise MeshFormatError(path, start + 1, "invalid element count") from None
-    if end - start - 1 != n_elems:
-        raise MeshFormatError(path, start + 1, f"element count {n_elems} does not match section size {end - start - 1}")
-    tris = []
-    tri_lines = []
-    for k in range(n_elems):
-        ln = start + 1 + k
-        parts = lines[ln].split()
-        if len(parts) < 3:
-            raise MeshFormatError(path, ln + 1, "element line needs 'id type ntags ...'")
-        try:
-            etype = int(parts[1])
-            ntags = int(parts[2])
-            fields = [int(p) for p in parts[3:]]
-        except ValueError:
-            raise MeshFormatError(path, ln + 1, f"invalid element line {lines[ln]!r}") from None
-        if etype != 2:
-            continue  # only 3-node triangles carry the 2D mesh
-        nodes = fields[ntags:]
-        if len(nodes) != 3:
-            raise MeshFormatError(path, ln + 1, f"triangle element with {len(nodes)} nodes")
-        try:
-            tris.append([remap[v] for v in nodes])
-        except KeyError as e:
-            raise MeshFormatError(path, ln + 1, f"unknown node id {e.args[0]}") from None
-        tri_lines.append(ln + 1)
-
-    if not tris:
-        raise MeshFormatError(path, start + 1, "no triangle elements (type 2) found")
-    triangles = _reorient(path, coords, np.asarray(tris, dtype=np.int64), tri_lines)
-    return Mesh(coords, triangles)
 
 
 def save_mesh(mesh: Mesh, path) -> None:

@@ -310,12 +310,18 @@ class StudyResult:
             out.append(math.log(errors[i - 1] / errors[i]) / math.log(hs[i - 1] / hs[i]))
         return np.asarray(out)
 
+    def _rates_of(self, which: str) -> np.ndarray:
+        if which == "e_tau":
+            return self.rates_e_tau
+        if which == "l2":
+            return self.rates_l2
+        raise ValueError(f"unknown error {which!r} (expected 'e_tau' or 'l2')")
+
     def plateau_index(self, drop: float = 0.5, which: str = "e_tau") -> int | None:
-        rates = self.rates_e_tau if which == "e_tau" else self.rates_l2
-        return plateau_index(rates, drop)
+        return plateau_index(self._rates_of(which), drop)
 
     def pre_plateau_rates(self, drop: float = 0.5, which: str = "e_tau") -> np.ndarray:
-        rates = self.rates_e_tau if which == "e_tau" else self.rates_l2
+        rates = self._rates_of(which)
         idx = plateau_index(rates, drop)
         return rates if idx is None else rates[:idx]
 

@@ -37,7 +37,6 @@ from . import coefficients as coef
 from . import fem, linalg
 from .coefficients import DegeneracyError, EquationVariant, HeatParams, TissueModel
 from .fem import FEFunction, FESpace, ScalarField
-from .linalg import SolveReport
 
 __all__ = [
     "TimeScheme",
@@ -155,8 +154,8 @@ class StepReport:
     increment: float
     n1_min: float
     increments: tuple = ()
-    wave_solves: tuple = ()
-    heat_solve: SolveReport | None = None
+    wave_solves: tuple = ()  # relative residual of each linear wave solve
+    heat_residual: float = 0.0  # relative residual of the heat solve
     factorizations: int = 0  # LU factorizations made in the step, wave and heat
 
 
@@ -310,7 +309,7 @@ def wave_step(ctx: StepContext, fp: FixedPointConfig, *, warn_threshold: float =
             a_full = lead2 * m_n1 + ctx.stiff_frozen
             rhs = m_n1 @ ctx.d2u + base_rhs - (tau * tau) * fem.assemble_load(space, n2)
             lu = linalg.factorize(a_full.submatrix(idx, idx))
-            x, rep = lu.solve_with_report(rhs[idx])
+            x, rel_res = lu.solve_with_report(rhs[idx])
             u_next = np.zeros(space.n_dofs)
             u_next[idx] = x
         else:
@@ -318,10 +317,10 @@ def wave_step(ctx: StepContext, fp: FixedPointConfig, *, warn_threshold: float =
             # assembled with instead of assembling it
             mass_part = n1 * ctx.fev.fe_values(ctx.d2u - lead2 * u_i) - (tau * tau) * n2
             res = fem.assemble_load(space, mass_part) + base_rhs - ctx.stiff_frozen @ u_i
-            dx, rep = lu.solve_with_report(res[idx])
+            dx, rel_res = lu.solve_with_report(res[idx])
             u_next = u_i.copy()
             u_next[idx] += dx
-        solves.append(rep)
+        solves.append(rel_res)
 
         norm_new = space.l2_norm(u_next)
         inc = space.l2_norm(u_next - u_i)
@@ -346,7 +345,8 @@ def wave_step(ctx: StepContext, fp: FixedPointConfig, *, warn_threshold: float =
 
 def heat_step(ctx: StepContext, u_new: np.ndarray, heat: HeatParams, factor_cache: dict,
               heat_source=None):
-    """Advance the temperature one step; returns (theta_new, SolveReport).
+    """Advance the temperature one step; returns (theta_new, the relative
+    residual of its linear solve).
 
     The absorbed energy is evaluated from the new wave level, its discrete
     time derivative, and the previous temperature.  The factorized heat
@@ -373,15 +373,16 @@ def heat_step(ctx: StepContext, u_new: np.ndarray, heat: HeatParams, factor_cach
         h_full = (eff.lead1 + tau * heat.nu) * ctx.mass + (tau * heat.kappa) * stiff
         factor_cache[key] = linalg.factorize(h_full.submatrix(idx, idx))
 
-    x, rep = factor_cache[key].solve_with_report(rhs[idx])
+    x, rel_res = factor_cache[key].solve_with_report(rhs[idx])
     theta_new = np.zeros(space.n_dofs)
     theta_new[idx] = x
-    return theta_new, rep
+    return theta_new, rel_res
 
 
 def _project(space: FESpace, data, projection: str) -> list:
     """Coefficient vectors of the initial data, in order.  ScalarFields are
-    projected per `projection`; Ritz projections share one factorization."""
+    projected per `projection` ("ritz" or "nodal"); Ritz projections share
+    one factorization."""
     out = []
     ritz = []
     for item in data:
@@ -398,10 +399,8 @@ def _project(space: FESpace, data, projection: str) -> list:
         elif projection == "ritz":
             ritz.append(len(out))
             out.append(item)
-        elif projection == "nodal":
-            out.append(fem.nodal_interpolate(space, item, 0.0).values)
         else:
-            raise ValueError(f"unknown projection {projection!r} (expected 'ritz' or 'nodal')")
+            out.append(fem.nodal_interpolate(space, item, 0.0).values)
     if ritz:
         for i, values in zip(ritz, fem._ritz_values(space, [out[i] for i in ritz], 0.0)):
             out[i] = values
@@ -419,8 +418,9 @@ def run_simulation(space: FESpace, *, scheme: TimeScheme, variant: EquationVaria
                    warn_threshold: float = 0.1) -> SimulationResult:
     """Integrate the coupled system from t = 0.
 
-    Initial data may be ScalarFields (projected per `projection`),
-    FEFunctions, or raw coefficient vectors.  Snapshot hooks receive
+    Initial data may be ScalarFields (projected per `projection`, "ritz" or
+    "nodal"), FEFunctions, or raw coefficient vectors.  The arguments are
+    checked before any of them is projected.  Snapshot hooks receive
     (step_index, time, u_h, theta_h) with independent copies.
     """
     if not tau > 0.0:
@@ -429,16 +429,17 @@ def run_simulation(space: FESpace, *, scheme: TimeScheme, variant: EquationVaria
         raise ValueError("specify exactly one of n_steps and final_time")
     if n_steps is None:
         n_steps = step_count(final_time, tau)
+    if projection not in ("ritz", "nodal"):
+        raise ValueError(f"unknown projection {projection!r} (expected 'ritz' or 'nodal')")
+    snapshots = set(int(s) for s in snapshot_indices)
+    if any(s < 0 or s > n_steps for s in snapshots):
+        raise ValueError(f"snapshot indices must lie in [0, {n_steps}]")
 
     u0_vec, u1_vec, theta0_vec = _project(space, (u0, u1, theta0), projection)
     ghost = u0_vec - tau * u1_vec  # backfilled level u^{-1}
 
     state = SimulationState(space=space, tau=tau, step=0, time=0.0,
                             u=[u0_vec, ghost], theta=[theta0_vec])
-
-    snapshots = set(int(s) for s in snapshot_indices)
-    if any(s < 0 or s > n_steps for s in snapshots):
-        raise ValueError(f"snapshot indices must lie in [0, {n_steps}]")
 
     def emit(idx):
         if on_snapshot is not None and idx in snapshots:
@@ -455,7 +456,7 @@ def run_simulation(space: FESpace, *, scheme: TimeScheme, variant: EquationVaria
         try:
             ctx = StepContext(state, scheme, variant, model, wave_source)
             u_new, info = wave_step(ctx, fp, warn_threshold=warn_threshold)
-            theta_new, heat_rep = heat_step(ctx, u_new, heat, heat_factors, heat_source)
+            theta_new, heat_res = heat_step(ctx, u_new, heat, heat_factors, heat_source)
         except Exception as e:
             e.step_index = n + 1
             if hasattr(e, "add_note"):
@@ -475,7 +476,7 @@ def run_simulation(space: FESpace, *, scheme: TimeScheme, variant: EquationVaria
             n1_min=info["n1_min"],
             increments=info["increments"],
             wave_solves=info["solves"],
-            heat_solve=heat_rep,
+            heat_residual=heat_res,
             factorizations=info["factorizations"] + len(heat_factors) - heat_cached,
         ))
         max_u.append(float(np.abs(u_new).max()))
@@ -498,11 +499,10 @@ def write_step_reports(reports: Sequence[StepReport], path) -> None:
     """
     lines = ["step,scheme,iterations,increment,n1_min,wave_residual,heat_residual"]
     for r in reports:
-        wave_res = r.wave_solves[-1].relative_residual if r.wave_solves else 0.0
-        heat_res = r.heat_solve.relative_residual if r.heat_solve is not None else 0.0
+        wave_res = r.wave_solves[-1] if r.wave_solves else 0.0
         lines.append(
             f"{r.index},{r.scheme_tag},{r.iterations},{r.increment:.17g},"
-            f"{r.n1_min:.17g},{wave_res:.17g},{heat_res:.17g}"
+            f"{r.n1_min:.17g},{wave_res:.17g},{r.heat_residual:.17g}"
         )
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -16,15 +16,13 @@ from thermofem import (
     EquationVariant,
     HeatParams,
     TissueModel,
-    absorbed_energy,
     absorption_weights,
-    beta_of_theta,
     derived_heat_params,
-    k_coefficients,
-    q_of_theta,
     speed_of_sound,
     variant_by_name,
 )
+from thermofem import coefficients
+from thermofem.coefficients import SpeedTable
 
 # Speed of sound at zero fluctuation (absolute temperature 37 C), frozen
 # from extended-precision decimal evaluation of the two polynomial laws.
@@ -82,74 +80,96 @@ class TestSpeedOfSound:
 
 class TestQAndBeta:
     def test_q_is_squared_speed(self):
-        q = q_of_theta(LIVER_QUADRATIC, 0.0)
+        q = SpeedTable(LIVER_QUADRATIC, 0.0).q()
         assert q == pytest.approx(QUADRATIC_SPEED_AT_REST**2, rel=1e-12)
 
     def test_beta_at_rest(self):
         # 2 * alpha * c^3 / omega^2 with alpha = 4.5e-6 and omega = 2*pi.
         expected = 2.0 * 4.5e-6 * QUADRATIC_SPEED_AT_REST**3 / (2.0 * math.pi) ** 2
-        assert beta_of_theta(LIVER_QUADRATIC, 0.0) == pytest.approx(expected, rel=1e-12)
+        assert SpeedTable(LIVER_QUADRATIC, 0.0).beta() == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(1072.0220795632843, rel=1e-12)
 
     def test_beta_scales_inversely_with_frequency(self):
         base = TissueModel(speed_coeffs=LIVER_QUADRATIC.speed_coeffs, frequency=1.0)
         for freq in (10.0, 250.0, 1.0e5):
             scaled = TissueModel(speed_coeffs=base.speed_coeffs, frequency=freq)
-            assert beta_of_theta(scaled, 3.0) == pytest.approx(
-                beta_of_theta(base, 3.0) / freq, rel=1e-12
+            assert SpeedTable(scaled, 3.0).beta() == pytest.approx(
+                SpeedTable(base, 3.0).beta() / freq, rel=1e-12
             )
 
     def test_q_continuity(self):
         thetas = np.linspace(-5.0, 30.0, 401)
-        jump = np.abs(q_of_theta(LIVER_QUINTIC, thetas + 1e-9) - q_of_theta(LIVER_QUINTIC, thetas))
+        jump = np.abs(SpeedTable(LIVER_QUINTIC, thetas + 1e-9).q()
+                      - SpeedTable(LIVER_QUINTIC, thetas).q())
         assert np.max(jump) <= 1e-3
 
     @pytest.mark.parametrize("model", [LIVER_QUADRATIC, LIVER_QUINTIC], ids=["quadratic", "quintic"])
     def test_positive_on_physical_range(self, model):
         thetas = np.linspace(-10.0, 50.0, 2001)
-        assert np.all(q_of_theta(model, thetas) > 0.0)
-        assert np.all(beta_of_theta(model, thetas) > 0.0)
+        speed = SpeedTable(model, thetas)
+        assert np.all(speed.q() > 0.0)
+        assert np.all(speed.beta() > 0.0)
 
     # Step size balances truncation against cancellation: q ~ 2.4e6 makes
     # h = 1e-6 differences lose seven digits to rounding.
     @pytest.mark.parametrize("theta", [-5.0, 0.0, 10.0, 25.0])
     def test_q_derivative_matches_finite_difference(self, theta):
-        _, dq = q_of_theta(LIVER_QUINTIC, theta, derivative=True)
+        _, dq = SpeedTable(LIVER_QUINTIC, theta, slope=True).q(derivative=True)
         h = 1e-4
-        fd = (q_of_theta(LIVER_QUINTIC, theta + h) - q_of_theta(LIVER_QUINTIC, theta - h)) / (2 * h)
+        fd = (SpeedTable(LIVER_QUINTIC, theta + h).q()
+              - SpeedTable(LIVER_QUINTIC, theta - h).q()) / (2 * h)
         assert dq == pytest.approx(fd, rel=1e-6)
 
     @pytest.mark.parametrize("theta", [-5.0, 0.0, 10.0, 25.0])
     def test_beta_derivative_matches_finite_difference(self, theta):
-        _, db = beta_of_theta(LIVER_QUINTIC, theta, derivative=True)
+        _, db = SpeedTable(LIVER_QUINTIC, theta, slope=True).beta(derivative=True)
         h = 1e-4
-        fd = (beta_of_theta(LIVER_QUINTIC, theta + h) - beta_of_theta(LIVER_QUINTIC, theta - h)) / (2 * h)
+        fd = (SpeedTable(LIVER_QUINTIC, theta + h).beta()
+              - SpeedTable(LIVER_QUINTIC, theta - h).beta()) / (2 * h)
         assert db == pytest.approx(fd, rel=1e-6)
 
     def test_derivative_of_constant_law_is_zero(self):
         model = TissueModel(speed_coeffs=(1529.3,))
-        _, dq = q_of_theta(model, 5.0, derivative=True)
+        _, dq = SpeedTable(model, 5.0, slope=True).q(derivative=True)
         assert dq == 0.0
 
 
 class TestKCoefficients:
     def test_values_at_rest(self):
-        k_w, k_k = k_coefficients(LIVER_QUADRATIC, 0.0)
+        k_w, k_k = SpeedTable(LIVER_QUADRATIC, 0.0).k()
         q0 = QUADRATIC_SPEED_AT_REST**2
         assert k_w == pytest.approx(6.0 / (1050.0 * q0), rel=1e-12)
         assert k_k == pytest.approx(5.0 / q0, rel=1e-12)
 
     def test_linear_medium_limit(self):
         model = TissueModel(speed_coeffs=(1500.0,), b_over_2a=0.0)
-        k_w, k_k = k_coefficients(model, 0.0)
+        k_w, k_k = SpeedTable(model, 0.0).k()
         assert k_w == pytest.approx(1.0 / (1050.0 * 1500.0**2), rel=1e-12)
         assert k_k == 0.0
 
     @given(theta=SAFE_THETA)
     def test_kk_times_q_is_nonlinearity_ratio(self, theta):
-        _, k_k = k_coefficients(LIVER_QUINTIC, theta)
-        q = q_of_theta(LIVER_QUINTIC, theta)
+        speed = SpeedTable(LIVER_QUINTIC, theta)
+        _, k_k = speed.k()
+        q = speed.q()
         assert k_k * q == pytest.approx(LIVER_QUINTIC.b_over_2a, rel=1e-12)
+
+
+class TestModuleLevelLaws:
+    def test_equal_to_speed_table_methods(self):
+        # Each builds one SpeedTable per call; the benchmark's coefficient
+        # span wraps them.
+        theta = np.linspace(-5.0, 30.0, 11)
+        speed = SpeedTable(LIVER_QUINTIC, theta, slope=True)
+        pairs = [
+            (coefficients.q_of_theta(LIVER_QUINTIC, theta, derivative=True), speed.q(True)),
+            (coefficients.beta_of_theta(LIVER_QUINTIC, theta, derivative=True), speed.beta(True)),
+            (coefficients.k_coefficients(LIVER_QUINTIC, theta), speed.k()),
+            (absorption_weights(WESTERVELT, LIVER_QUINTIC, theta),
+             speed.absorption_weights(WESTERVELT)),
+        ]
+        for got, want in pairs:
+            np.testing.assert_array_equal(got, want)
 
 
 class TestVariants:
@@ -167,19 +187,17 @@ class TestVariants:
             EquationVariant("burgers")
 
     def test_gradient_coupling_switch(self):
-        assert WESTERVELT.grad_coupling == 0.0
-        assert KUZNETSOV.grad_coupling == 1.0
-        assert LINEAR_WAVE.grad_coupling == 0.0
         assert LINEAR_WAVE.linear
+        assert not WESTERVELT.linear and not KUZNETSOV.linear
 
 
 class TestAbsorbedEnergy:
     def test_zero_fields_give_zero(self):
         for variant in (WESTERVELT, KUZNETSOV):
-            assert absorbed_energy(variant, LIVER_QUADRATIC, 0.0, 0.0, 0.0) == 0.0
+            assert SpeedTable(LIVER_QUADRATIC, 0.0).absorbed_energy(variant, 0.0, 0.0) == 0.0
 
     def test_kuznetsov_unit_pressure(self):
-        got = absorbed_energy(KUZNETSOV, LIVER_QUADRATIC, 1.0, 123.0, 0.0)
+        got = SpeedTable(LIVER_QUADRATIC, 0.0).absorbed_energy(KUZNETSOV, 1.0, 123.0)
         expected = 1050.0 * 4.5e-6 / QUADRATIC_SPEED_AT_REST
         assert got == pytest.approx(expected, rel=1e-12)
 
@@ -192,7 +210,7 @@ class TestAbsorbedEnergy:
         a1, a2 = absorption_weights(WESTERVELT, LIVER_QUADRATIC, theta)
         c = speed_of_sound(LIVER_QUADRATIC, theta)
         q = c * c
-        beta = beta_of_theta(LIVER_QUADRATIC, theta)
+        beta = SpeedTable(LIVER_QUADRATIC, theta).beta()
         rho = LIVER_QUADRATIC.density
         assert a1 == pytest.approx(LIVER_QUADRATIC.absorption / c / (2 * rho), rel=1e-12)
         assert a2 == pytest.approx(2 * beta / (q * q) / (2 * rho), rel=1e-12)
@@ -209,7 +227,7 @@ class TestAbsorbedEnergy:
         u_t = rng.normal(size=64)
         theta = rng.uniform(-5.0, 30.0, size=64)
         a1, a2 = absorption_weights(WESTERVELT, LIVER_QUINTIC, theta)
-        got = absorbed_energy(WESTERVELT, LIVER_QUINTIC, u, u_t, theta)
+        got = SpeedTable(LIVER_QUINTIC, theta).absorbed_energy(WESTERVELT, u, u_t)
         np.testing.assert_allclose(got, a1 * u * u + a2 * u_t * u_t, rtol=1e-13)
 
 

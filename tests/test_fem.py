@@ -9,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 from thermofem import fem
 from thermofem.fem import (FEFunction, ScalarField, assemble_load, assemble_mass,
                            assemble_stiffness, assemble_weighted_stiffness, build_space,
-                           constant_field, discrete_laplacian, error_norms,
-                           nodal_interpolate, ritz_projection, triangle_rule)
+                           error_norms, nodal_interpolate, ritz_projection, triangle_rule)
 from thermofem.mesh import Mesh, unit_square_mesh
+
+from conftest import constant_field
 
 
 def reference_triangle():
@@ -335,41 +336,6 @@ class TestNodalInterpolation:
         assert np.allclose(f.values, 2.5)
 
 
-class TestDiscreteLaplacian:
-    def test_zero(self):
-        sp = build_space(unit_square_mesh(3), 1)
-        u = FEFunction(sp, np.zeros(sp.n_dofs))
-        assert np.abs(discrete_laplacian(sp, u).values).max() == 0.0
-
-    def test_eigenfunction(self):
-        def f(x, t=0.0):
-            return np.sin(np.pi * x[..., 0]) * np.sin(np.pi * x[..., 1])
-
-        def g(x, t=0.0):
-            a = np.pi * np.cos(np.pi * x[..., 0]) * np.sin(np.pi * x[..., 1])
-            b = np.pi * np.sin(np.pi * x[..., 0]) * np.cos(np.pi * x[..., 1])
-            return np.stack([a, b], axis=-1)
-
-        sp = build_space(unit_square_mesh(64), 2)
-        u = ritz_projection(sp, ScalarField(f, g))
-        lap = discrete_laplacian(sp, u)
-        diff = FEFunction(sp, lap.values + 2 * np.pi**2 * u.values)
-        num, _, _ = error_norms(diff, None)
-        den, _, _ = error_norms(u, None)
-        assert num / (2 * np.pi**2 * den) <= 0.05
-
-    def test_linearity(self, rng):
-        sp = build_space(unit_square_mesh(4), 1)
-        xa = rng.standard_normal(sp.n_dofs)
-        xb = rng.standard_normal(sp.n_dofs)
-        xa[sp.boundary_dofs] = 0.0
-        xb[sp.boundary_dofs] = 0.0
-        la = discrete_laplacian(sp, FEFunction(sp, xa)).values
-        lb = discrete_laplacian(sp, FEFunction(sp, xb)).values
-        lab = discrete_laplacian(sp, FEFunction(sp, 2.0 * xa - 3.0 * xb)).values
-        assert np.abs(lab - (2.0 * la - 3.0 * lb)).max() <= 1e-10 * max(1.0, np.abs(lab).max())
-
-
 class TestErrorNorms:
     def test_reproduced_polynomial(self):
         sp = build_space(unit_square_mesh(3), 2)
@@ -450,13 +416,6 @@ class TestFEFunction:
         sp = build_space(unit_square_mesh(2), 1)
         with pytest.raises(ValueError):
             FEFunction(sp, np.zeros(3))
-
-    def test_dirichlet_conforming(self):
-        sp = build_space(unit_square_mesh(2), 1)
-        vals = np.ones(sp.n_dofs)
-        assert not FEFunction(sp, vals).is_dirichlet_conforming()
-        vals[sp.boundary_dofs] = 0.0
-        assert FEFunction(sp, vals).is_dirichlet_conforming()
 
 
 @given(st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=4))

@@ -122,9 +122,8 @@ class TestSolve:
     def test_identity(self, rng):
         a = sparse_from_triplets(5, 5, [(i, i, 1.0) for i in range(5)])
         b = rng.standard_normal(5)
-        x, rep = factorize(a).solve_with_report(b)
+        x, _ = factorize(a).solve_with_report(b)
         assert np.allclose(x, b, rtol=1e-12)
-        assert rep.iterations == 1
 
     def test_mass_matrix_matches_dense_lu(self, rng):
         space = build_space(unit_square_mesh(4), 1)
@@ -138,9 +137,9 @@ class TestSolve:
 
     def test_zero_rhs(self):
         a = sparse_from_triplets(3, 3, [(i, i, 2.0) for i in range(3)])
-        x, rep = factorize(a).solve_with_report(np.zeros(3))
+        x, residual = factorize(a).solve_with_report(np.zeros(3))
         assert np.array_equal(x, np.zeros(3))
-        assert rep.relative_residual == 0.0
+        assert residual == 0.0
 
     def test_singular_zero_matrix(self):
         a = sparse_from_triplets(3, 3, [])
@@ -166,9 +165,9 @@ class TestSolve:
         space = build_space(unit_square_mesh(3), 1)
         m = space.mass_matrix()
         b = rng.standard_normal(m.shape[0])
-        x, rep = factorize(m).solve_with_report(b)
+        x, residual = factorize(m).solve_with_report(b)
         res = np.linalg.norm(b - matvec(m, x)) / np.linalg.norm(b)
-        assert rep.relative_residual == pytest.approx(res, abs=1e-13)
+        assert residual == pytest.approx(res, abs=1e-13)
 
     def test_random_spd_instances(self, rng):
         for _ in range(50):
@@ -216,9 +215,8 @@ class TestFactorize:
         space = build_space(unit_square_mesh(3), 1)
         m = space.mass_matrix()
         b = rng.standard_normal(m.shape[0])
-        x, rep = factorize(m).solve_with_report(b)
-        assert rep.method == "sparse-lu"
-        assert rep.relative_residual <= 1e-12
+        x, residual = factorize(m).solve_with_report(b)
+        assert residual <= 1e-12
 
 
 @given(st.integers(min_value=1, max_value=25), st.integers(min_value=0, max_value=1000))

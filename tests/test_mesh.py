@@ -217,45 +217,3 @@ class TestNativeFormat:
         p.write_text("#vertices x\n")
         with pytest.raises(MeshFormatError):
             load_mesh(p)
-
-
-GMSH_SAMPLE = """$MeshFormat
-2.2 0 8
-$EndMeshFormat
-$Nodes
-4
-10 0 0 0
-20 1 0 0
-30 1 1 0
-40 0 1 0
-$EndNodes
-$Elements
-3
-1 1 2 0 1 10 20
-2 2 2 0 1 10 20 30
-3 2 2 0 1 10 30 40
-$EndElements
-"""
-
-
-class TestGmshFormat:
-    def test_reads_triangles_with_node_remap(self, tmp_path):
-        p = tmp_path / "m.msh"
-        p.write_text(GMSH_SAMPLE)
-        m = load_mesh(p)
-        assert m.n_vertices == 4
-        assert m.n_triangles == 2  # the line element (type 1) is skipped
-        assert m.areas().sum() == pytest.approx(1.0, rel=1e-14)
-
-    def test_wrong_version(self, tmp_path):
-        p = tmp_path / "m.msh"
-        p.write_text("$MeshFormat\n4.1 0 8\n$EndMeshFormat\n")
-        with pytest.raises(MeshFormatError):
-            load_mesh(p)
-
-    def test_unknown_node_reference(self, tmp_path):
-        p = tmp_path / "m.msh"
-        bad = GMSH_SAMPLE.replace("2 2 2 0 1 10 20 30", "2 2 2 0 1 10 20 99")
-        p.write_text(bad)
-        with pytest.raises(MeshFormatError):
-            load_mesh(p)

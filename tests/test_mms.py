@@ -19,13 +19,10 @@ from thermofem import (
     SimulationState,
     StudyResult,
     absorption_weights,
-    beta_of_theta,
     build_space,
     convergence_study,
     error_norms,
-    k_coefficients,
     nodal_interpolate,
-    q_of_theta,
     unit_square_mesh,
 )
 from thermofem.coefficients import SpeedTable
@@ -158,11 +155,11 @@ def wave_source_oracle(pair, variant, model, x, t):
     utt = fd_tt(pair.u, x, t)
     lap = fd_lap(pair.u, x, t)
     lap_ut = fd_lap_dt(pair.u, x, t)
-    th = pair.theta(x, t)
-    q = q_of_theta(model, th)
-    b = beta_of_theta(model, th)
+    speed = SpeedTable(model, pair.theta(x, t))
+    q = speed.q()
+    b = speed.beta()
     out = utt - q * lap - b * lap_ut
-    k_w, k_k = k_coefficients(model, th)
+    k_w, k_k = speed.k()
     if variant.tag == "westervelt":
         out = out + 2.0 * k_w * (u * utt + ut * ut)
     else:
@@ -420,6 +417,17 @@ class TestStudyBookkeeping:
         study = synthetic_study(hs, errors, errors)
         assert study.plateau_index() == 2
         np.testing.assert_allclose(study.pre_plateau_rates(), [3.0, 3.0], rtol=1e-12)
+
+    def test_rate_name_selects_error_or_is_rejected(self):
+        hs = [1 / 8, 1 / 16, 1 / 32]
+        study = synthetic_study(hs, [3.0 * h for h in hs], [0.5 * h * h for h in hs])
+        np.testing.assert_allclose(study.pre_plateau_rates(which="e_tau"), [1.0, 1.0], rtol=1e-12)
+        np.testing.assert_allclose(study.pre_plateau_rates(which="l2"), [2.0, 2.0], rtol=1e-12)
+        for which in ("E_tau", "L2", "h1"):
+            with pytest.raises(ValueError, match="e_tau"):
+                study.plateau_index(which=which)
+            with pytest.raises(ValueError, match="e_tau"):
+                study.pre_plateau_rates(which=which)
 
     def test_csv_format_and_determinism(self, tmp_path):
         hs = [1 / 8, 1 / 16]

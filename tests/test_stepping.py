@@ -18,13 +18,13 @@ from thermofem import (
     SimulationState,
     StepContext,
     TissueModel,
-    beta_of_theta,
     build_space,
     run_simulation,
     scheme_by_name,
     unit_square_mesh,
 )
 from thermofem import fem, linalg
+from thermofem.coefficients import SpeedTable
 from thermofem.mms import ManufacturedPair
 from thermofem.stepping import (
     delta1,
@@ -274,7 +274,7 @@ class TestWaveStep:
         m = space.mass_matrix().to_dense()[i, i]
         k = space.stiffness_matrix().to_dense()[i, i]
         q = 4.0
-        beta = float(beta_of_theta(CONSTANT_MEDIUM, 0.0))
+        beta = float(SpeedTable(CONSTANT_MEDIUM, 0.0).beta())
         expected = (m * (a + tau * b) + tau * beta * k * a) / (
             m + tau * tau * q * k + tau * beta * k)
         assert result.state.u[0][i] == pytest.approx(expected, rel=1e-12)
@@ -578,6 +578,28 @@ class TestRunSimulation:
         with pytest.raises(ValueError, match="projection"):
             run_simulation(space, u0=SINE_INITIAL, u1=z, theta0=z,
                            projection="collocation", **kwargs)
+
+    def test_bad_snapshot_index_fails_before_projection(self, monkeypatch):
+        space = small_space(4)
+        calls = count_factorizations(monkeypatch)
+        with pytest.raises(ValueError, match="snapshot"):
+            run_simulation(
+                space, scheme=EULER, variant=LINEAR_WAVE, model=CONSTANT_MEDIUM,
+                heat=HeatParams(1.0, 0.0), tau=0.1, n_steps=2, u0=SINE_INITIAL,
+                u1=SINE_VELOCITY, theta0=SINE_INITIAL, snapshot_indices=[-1])
+        assert calls == []
+
+    def test_unknown_projection_fails_before_compute(self, monkeypatch):
+        # Vector data are never projected, so only an up-front check sees it.
+        space = small_space(4)
+        z = np.zeros(space.n_dofs)
+        calls = count_factorizations(monkeypatch)
+        with pytest.raises(ValueError, match="projection"):
+            run_simulation(
+                space, scheme=EULER, variant=LINEAR_WAVE, model=CONSTANT_MEDIUM,
+                heat=HeatParams(1.0, 0.0), tau=0.1, n_steps=2, u0=z, u1=z, theta0=z,
+                projection="bogus")
+        assert calls == []
 
     def test_snapshot_hook_receives_copies(self):
         space = small_space(4)
