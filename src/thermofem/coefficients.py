@@ -111,44 +111,42 @@ def _dspeed(model: TissueModel, theta) -> np.ndarray:
 
 
 class SpeedTable:
-    """The sound speed c and, when asked for, its slope c' on one
-    temperature table.
+    """The sound speed c, its square q = c^2 and, when asked for, the slope
+    c' on one temperature table.
 
-    Every law below is a function of c and c', so a caller that needs
-    several of them on the same table evaluates the polynomial once here.
-    The module-level functions of theta build a table per call; the
-    benchmark's coefficient-table span wraps them.
+    Every law below is a function of c, q and c', so a caller that needs
+    several of them on the same table evaluates the polynomial and the
+    square once here.  The module-level functions of theta build a table
+    per call; the benchmark's coefficient-table span wraps them.
     """
 
-    __slots__ = ("model", "c", "dc")
+    __slots__ = ("model", "c", "c2", "dc")
 
     def __init__(self, model: TissueModel, theta, slope: bool = False):
         self.model = model
         self.c = speed_of_sound(model, theta)
+        self.c2 = self.c * self.c
         self.dc = _dspeed(model, theta) if slope else None
 
     def q(self, derivative: bool = False):
-        """Squared speed q = c^2; optionally also dq/dtheta = 2 c c'."""
-        c = self.c
-        q = c * c
+        """Squared speed q = c^2, the table's own array (not to be modified
+        in place); optionally also dq/dtheta = 2 c c'."""
         if not derivative:
-            return q
-        return q, 2.0 * c * self.dc
+            return self.c2
+        return self.c2, 2.0 * self.c * self.dc
 
     def beta(self, derivative: bool = False):
         """Damping beta = 2 * alpha * c^3 / omega^2; optionally d(beta)/dtheta."""
-        c = self.c
         scale = 2.0 * self.model.absorption / (self.model.omega * self.model.omega)
-        b = scale * c ** 3
+        b = scale * self.c2 * self.c
         if not derivative:
             return b
-        return b, 3.0 * scale * c * c * self.dc
+        return b, 3.0 * scale * self.c2 * self.dc
 
     def k(self) -> tuple[np.ndarray, np.ndarray]:
         """Nonlinearity coefficients (k_W, k_K)."""
-        q = self.q()
-        k_w = (1.0 + self.model.b_over_2a) / (self.model.density * q)
-        k_k = self.model.b_over_2a / q
+        k_w = (1.0 + self.model.b_over_2a) / (self.model.density * self.c2)
+        k_k = self.model.b_over_2a / self.c2
         return k_w, k_k
 
     def absorption_weights(self, variant: EquationVariant):
@@ -156,10 +154,8 @@ class SpeedTable:
         c = self.c
         model = self.model
         if variant.tag == "westervelt":
-            q = c * c
-            beta = self.beta()
             a1 = model.absorption / c / (2.0 * model.density)
-            a2 = 2.0 * beta / (q * q) / (2.0 * model.density)
+            a2 = 2.0 * self.beta() / (self.c2 * self.c2) / (2.0 * model.density)
             return a1, a2
         a1 = model.density * model.absorption / c
         return a1, np.zeros_like(c)

@@ -12,10 +12,12 @@ all polynomials of total degree <= d exactly.  Weights are normalized to
 sum to one, so integrals are area * sum(w * f).
 
 Assembly weights are analytic fields (ScalarField) or per-cell quadrature
-tables, the latter with a gradient table where the form needs one.  Mass,
-stiffness and load tables are einsum contractions; the weighted stiffness
-form, assembled every time step, builds its local matrices with one GEMM
-against a table of reference basis products (see assemble_weighted_stiffness).
+tables, the latter with a gradient table where the form needs one.  Mass
+and load tables are einsum contractions; every stiffness form builds its
+local matrices with one GEMM against a table of reference basis products
+(see assemble_weighted_stiffness).  All matrices share the space's one
+pattern, so a solver system is a sum of data arrays, restricted to the
+interior dofs by one gather (FESpace.interior_matrix).
 """
 from __future__ import annotations
 
@@ -328,6 +330,25 @@ class FESpace:
                 np.tile(cd, (1, n_loc)).ravel())
         return self._matrix_cache["pattern"]
 
+    def interior_matrix(self, data) -> SparseMatrix:
+        """Block on the interior dofs (rows and columns interior_dofs, in
+        order) of the matrix on matrix_pattern() whose CSR data array is
+        `data`, such as a linear combination of assembled matrices' data."""
+        if "interior" not in self._matrix_cache:
+            pattern = self.matrix_pattern()
+            number = np.full(self.n_dofs, -1)
+            number[self.interior_dofs] = np.arange(self.interior_dofs.size)
+            rows = np.repeat(number, np.diff(pattern.indptr))
+            cols = number[pattern.indices]
+            gather = np.flatnonzero((rows >= 0) & (cols >= 0))
+            # The numbering keeps the dof order, so the gathered entries
+            # are already in the block's CSR order.
+            n = self.interior_dofs.size
+            self._matrix_cache["interior"] = (
+                gather, linalg.TripletPattern(n, n, rows[gather], cols[gather]))
+        gather, block = self._matrix_cache["interior"]
+        return block.matrix(np.asarray(data)[gather])
+
     def mass_matrix(self) -> SparseMatrix:
         if "mass" not in self._matrix_cache:
             self._matrix_cache["mass"] = assemble_mass(self)
@@ -488,10 +509,7 @@ def assemble_mass(space: FESpace, weight=None, t: float = 0.0,
 
 def assemble_stiffness(space: FESpace, quad_degree: int | None = None) -> SparseMatrix:
     """Stiffness matrix K_ij = integral of grad phi_j . grad phi_i."""
-    fev = space.values(quad_degree)
-    local = np.einsum("q,caqe,cbqe->cab", fev.weights, fev.dphi, fev.dphi, optimize=True)
-    local *= fev.areas[:, None, None]
-    return space.matrix_pattern().assemble(local)
+    return assemble_weighted_stiffness(space, None, quad_degree=quad_degree)
 
 
 def assemble_weighted_stiffness(space: FESpace, weight, t: float = 0.0,
@@ -501,7 +519,8 @@ def assemble_weighted_stiffness(space: FESpace, weight, t: float = 0.0,
     Row index i is the test function, column j the trial function:
     A_ij = integral of w * grad phi_j . grad phi_i + (grad phi_j . grad w) * phi_i,
     i.e. the weight multiplies the test function inside the bilinear form
-    and its gradient enters through the product rule.
+    and its gradient enters through the product rule.  weight=None is
+    w = 1, the plain stiffness form.
 
     The local matrices come from one GEMM instead of a contraction over
     (cell, point, component, basis).  The form is mapped to the reference
@@ -573,7 +592,7 @@ def _ritz_values(space: FESpace, fields, t: float) -> list:
     fev = space.values()
     pts = fev.points.reshape(-1, 2)
     idx = space.interior_dofs
-    lu = linalg.factorize(space.stiffness_matrix().submatrix(idx, idx))
+    lu = linalg.factorize(space.interior_matrix(space.stiffness_matrix().data))
     out = []
     for field in fields:
         rhs = _gradient_load(space, field.gradient(pts, t).reshape(fev.points.shape))

@@ -2,12 +2,13 @@
 
 Storage is CSR (wrapping scipy.sparse); duplicate triplets are summed on
 construction, matching finite element accumulation semantics.  A
-TripletPattern fixes the structure for assemblies that repeat it.  Linear
-systems are solved by sparse LU factorization (factorize); the returned
-solver can be applied to any number of right-hand sides.  Every system the
-solver sees (wave, heat, Ritz and mass) has a structurally symmetric
-pattern, so the columns are ordered by multiple minimum degree on
-A^T + A, which fills in far less than scipy's default, COLAMD.
+TripletPattern fixes the structure for assemblies that repeat it and sums
+each one in triplet order.  Linear systems are solved by sparse LU
+factorization (factorize); the returned solver can be applied to any
+number of right-hand sides.  Every system the solver sees (wave, heat,
+Ritz and mass) has a structurally symmetric pattern, so the columns are
+ordered by multiple minimum degree on A^T + A, which fills in far less
+than scipy's default, COLAMD.
 
 Everything here is deterministic: identical inputs produce bit-identical
 outputs, which the reporting layer relies on.
@@ -63,14 +64,6 @@ class SparseMatrix:
     def __matmul__(self, x):
         return matvec(self, x)
 
-    def __add__(self, other):
-        return SparseMatrix(self._csr + other._csr)
-
-    def __mul__(self, scalar):
-        return SparseMatrix(self._csr * float(scalar))
-
-    __rmul__ = __mul__
-
     def to_dense(self) -> np.ndarray:
         return self._csr.toarray()
 
@@ -114,11 +107,13 @@ def sparse_from_triplets(n_rows: int, n_cols: int, triplets) -> SparseMatrix:
 class TripletPattern:
     """Fixed (row, col) triplet positions, summed into one CSR structure.
 
-    assemble(values) gives the same matrix as sparse_from_triplets on these
-    positions, bit for bit, and does the structure work only once.
+    Each triplet's slot in the CSR data array is found once, here;
+    assemble(values) then adds the values of each position into its slot
+    in triplet order, starting from +0.0.  indptr and indices are the
+    structure every matrix made here shares.
     """
 
-    __slots__ = ("shape", "size", "_indptr", "_indices", "_first", "_adds")
+    __slots__ = ("shape", "size", "indptr", "indices", "_slot")
 
     def __init__(self, n_rows: int, n_cols: int, rows, cols):
         rows = np.asarray(rows, dtype=np.int64)
@@ -129,41 +124,25 @@ class TripletPattern:
             raise ValueError("triplet index out of range")
         self.shape = (n_rows, n_cols)
         self.size = rows.size
-
-        # scipy buckets the triplets by row in their order, sorts each row with
-        # its own unstable sort, then adds equal positions left to right; that
-        # sort run on the triplet numbers gives the summation order once.
-        by_row = np.argsort(rows, kind="stable")
-        row_ptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_rows))))
-        buckets = scipy.sparse.csr_matrix(
-            (by_row.astype(np.float64), cols[by_row], row_ptr), shape=self.shape)
-        buckets.sort_indices()
-        order = buckets.data.astype(np.int64)  # triplet number at each sorted slot
-        sorted_rows = rows[by_row]  # the buckets keep each triplet's row
-        new_entry = np.ones(order.size, dtype=bool)
-        new_entry[1:] = (sorted_rows[1:] != sorted_rows[:-1]) | (buckets.indices[1:] != buckets.indices[:-1])
-        starts = np.flatnonzero(new_entry)
-        self._indices = buckets.indices[starts]
-        self._indptr = np.concatenate(
-            ([0], np.cumsum(np.bincount(sorted_rows[starts], minlength=n_rows)))
-        ).astype(buckets.indptr.dtype)
-
-        lengths = np.diff(np.append(starts, order.size))
-        self._first = order[starts]
-        self._adds = []  # k-th duplicate of each position that has one
-        for k in range(1, int(lengths.max(initial=1))):
-            entries = np.flatnonzero(lengths > k)
-            self._adds.append((entries, order[starts[entries] + k]))
+        positions, self._slot = np.unique(rows * n_cols + cols, return_inverse=True)
+        row_ptr = np.concatenate(([0], np.cumsum(np.bincount(positions // n_cols, minlength=n_rows))))
+        structure = scipy.sparse.csr_matrix(
+            (np.zeros(positions.size), positions % n_cols, row_ptr), shape=self.shape)
+        self.indptr, self.indices = structure.indptr, structure.indices
 
     def assemble(self, values) -> SparseMatrix:
         values = np.asarray(values, dtype=np.float64).ravel()
         if values.size != self.size:
             raise ValueError(f"got {values.size} values for {self.size} triplet positions")
-        data = values[self._first]
-        for entries, triplets in self._adds:
-            data[entries] += values[triplets]
+        return self.matrix(np.bincount(self._slot, weights=values, minlength=self.indices.size))
+
+    def matrix(self, data) -> SparseMatrix:
+        """The matrix on this structure whose CSR data array is `data`."""
+        data = np.asarray(data, dtype=np.float64)
+        if data.shape != self.indices.shape:
+            raise ValueError(f"got {data.size} entries for {self.indices.size} stored positions")
         return SparseMatrix(scipy.sparse.csr_matrix(
-            (data, self._indices, self._indptr), shape=self.shape))
+            (data, self.indices, self.indptr), shape=self.shape))
 
 
 def matvec(a: SparseMatrix, x) -> np.ndarray:

@@ -144,9 +144,7 @@ class ManufacturedPair:
             utt = self.rate1 * ut
             speed = SpeedTable(model, self.theta(x, t))
             lap = -2.0 * _TWO_PI * _TWO_PI * u
-            out = speed.q()
-            out *= lap
-            out = utt - out
+            out = utt - speed.q() * lap
             damping = speed.beta()
             damping *= self.rate1
             damping *= lap

@@ -200,9 +200,10 @@ class StepContext:
 
     Those parts are stiff_frozen, the matrix of
     tau^2 a(u, q phi) + tau lead1 a(u, beta phi), made by one weighted
-    stiffness assembly with the combined weight, and sb_d1, the action
-    a(delta1 u, beta phi_i), assembled as a load from grad_d1u, the
-    gradient table of delta1 u that the Kuznetsov remainder reuses."""
+    stiffness assembly with the combined weight on the space's one matrix
+    pattern, and sb_d1, the action a(delta1 u, beta phi_i), assembled as a
+    load from grad_d1u, the gradient table of delta1 u that the Kuznetsov
+    remainder reuses."""
 
     def __init__(self, state: SimulationState, scheme: TimeScheme, variant: EquationVariant,
                  model: TissueModel, wave_source=None):
@@ -272,13 +273,14 @@ def wave_step(ctx: StepContext, fp: FixedPointConfig, *, warn_threshold: float =
 
     The fixed point starts from the previous level u^n and runs as a chord
     iteration.  The interior system A(u^n) = lead2 M(n1(u^n)) + stiff_frozen
-    is factored once; its solve with b(u^n) is the first iterate, and each
-    later iterate adds the correction A(u^n)^{-1} (b(u) - A(u) u) computed
-    with the same factor.  The iteration stops when the relative L2
-    increment between iterates drops below fp.tol (absolute when the new
-    iterate is zero), or as soon as the nonlinearity tables stop changing
-    while n1 equals the table the factor was built from, in which case the
-    next correction would be rounding alone.
+    (a sum of data arrays, see FESpace.interior_matrix) is factored once;
+    its solve with b(u^n) is the first iterate, and each later iterate adds
+    the correction A(u^n)^{-1} (b(u) - A(u) u) computed with the same
+    factor.  The iteration stops when the relative L2 increment between
+    iterates drops below fp.tol (absolute when the new iterate is zero), or
+    as soon as the nonlinearity tables stop changing while n1 equals the
+    table the factor was built from, in which case the next correction
+    would be rounding alone.
     """
     space = ctx.space
     tau = ctx.tau
@@ -306,9 +308,8 @@ def wave_step(ctx: StepContext, fp: FixedPointConfig, *, warn_threshold: float =
             )
         if it == 1:
             m_n1 = fem.assemble_mass(space, n1)
-            a_full = lead2 * m_n1 + ctx.stiff_frozen
             rhs = m_n1 @ ctx.d2u + base_rhs - (tau * tau) * fem.assemble_load(space, n2)
-            lu = linalg.factorize(a_full.submatrix(idx, idx))
+            lu = linalg.factorize(space.interior_matrix(lead2 * m_n1.data + ctx.stiff_frozen.data))
             x, rel_res = lu.solve_with_report(rhs[idx])
             u_next = np.zeros(space.n_dofs)
             u_next[idx] = x
@@ -369,9 +370,9 @@ def heat_step(ctx: StepContext, u_new: np.ndarray, heat: HeatParams, factor_cach
 
     key = eff.lead1
     if key not in factor_cache:
-        stiff = space.stiffness_matrix()
-        h_full = (eff.lead1 + tau * heat.nu) * ctx.mass + (tau * heat.kappa) * stiff
-        factor_cache[key] = linalg.factorize(h_full.submatrix(idx, idx))
+        h_data = ((eff.lead1 + tau * heat.nu) * ctx.mass.data
+                  + (tau * heat.kappa) * space.stiffness_matrix().data)
+        factor_cache[key] = linalg.factorize(space.interior_matrix(h_data))
 
     x, rel_res = factor_cache[key].solve_with_report(rhs[idx])
     theta_new = np.zeros(space.n_dofs)
@@ -429,6 +430,8 @@ def run_simulation(space: FESpace, *, scheme: TimeScheme, variant: EquationVaria
         raise ValueError("specify exactly one of n_steps and final_time")
     if n_steps is None:
         n_steps = step_count(final_time, tau)
+    elif not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
+        raise ValueError(f"n_steps must be a positive integer, got {n_steps!r}")
     if projection not in ("ritz", "nodal"):
         raise ValueError(f"unknown projection {projection!r} (expected 'ritz' or 'nodal')")
     snapshots = set(int(s) for s in snapshot_indices)

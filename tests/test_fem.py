@@ -144,6 +144,18 @@ class TestStiffness:
             assert x @ (k @ x) >= -1e-12
 
 
+class TestInteriorMatrix:
+    @pytest.mark.parametrize("degree", (1, 2, 3))
+    def test_equals_dense_interior_block(self, degree, rng):
+        sp = build_space(unit_square_mesh(4), degree)
+        idx = sp.interior_dofs
+        pattern = sp.matrix_pattern()
+        combined = 2.0 * sp.mass_matrix().data + sp.stiffness_matrix().data
+        for data in (combined, rng.standard_normal(pattern.indices.size)):
+            expected = pattern.matrix(data).to_dense()[np.ix_(idx, idx)]
+            assert sp.interior_matrix(data).to_dense().tobytes() == expected.tobytes()
+
+
 class TestWeightedStiffness:
     def test_weight_one_equals_stiffness(self):
         for degree in (1, 2, 3):

@@ -49,6 +49,13 @@ class TestConstruction:
             assert (np.diff(row) > 0).all()  # sorted, unique
 
 
+def _summed_in_triplet_order(shape, rows, cols, vals):
+    """Dense reference: every value added into its position in triplet order."""
+    dense = np.zeros(shape)
+    np.add.at(dense, (rows, cols), vals)
+    return dense
+
+
 class TestTripletPattern:
     def test_matches_triplet_construction_bit_for_bit(self, rng):
         # many duplicates in random order, with magnitudes spread so that
@@ -59,11 +66,13 @@ class TestTripletPattern:
         for _ in range(3):
             vals = rng.standard_normal(m) * 10.0 ** rng.integers(-8, 8, m)
             vals[rng.random(m) < 0.1] = -0.0
-            a = sparse_from_triplets(n, n, (rows, cols, vals))
             b = pattern.assemble(vals)
+            expected = _summed_in_triplet_order((n, n), rows, cols, vals)
+            assert b.to_dense().tobytes() == expected.tobytes()
+            a = sparse_from_triplets(n, n, (rows, cols, vals))
             assert a.indptr.tobytes() == b.indptr.tobytes()
             assert a.indices.tobytes() == b.indices.tobytes()
-            assert a.data.tobytes() == b.data.tobytes()
+            assert np.abs(a.data - b.data).max() <= 1e-15 * np.abs(a.data).max()
 
     def test_rows_already_in_order(self, rng):
         rows = np.repeat(np.arange(4), 6)
@@ -82,10 +91,12 @@ class TestTripletPattern:
         rows = np.repeat(cd, cd.shape[1], axis=1).ravel()
         cols = np.tile(cd, (1, cd.shape[1])).ravel()
         vals = rng.standard_normal(rows.size)
-        a = sparse_from_triplets(space.n_dofs, space.n_dofs, (rows, cols, vals))
         b = space.matrix_pattern().assemble(vals)
+        expected = _summed_in_triplet_order((space.n_dofs,) * 2, rows, cols, vals)
+        assert b.to_dense().tobytes() == expected.tobytes()
+        a = sparse_from_triplets(space.n_dofs, space.n_dofs, (rows, cols, vals))
         assert a.indices.tobytes() == b.indices.tobytes()
-        assert a.data.tobytes() == b.data.tobytes()
+        assert np.abs(a.data - b.data).max() <= 1e-15 * np.abs(a.data).max()
 
     def test_rejects_wrong_length_and_nonfinite(self):
         pattern = TripletPattern(2, 2, [0, 1, 1], [0, 1, 1])
@@ -93,6 +104,8 @@ class TestTripletPattern:
             pattern.assemble([1.0, 2.0])
         with pytest.raises(ValueError):
             pattern.assemble([1.0, float("inf"), 2.0])
+        with pytest.raises(ValueError):
+            pattern.matrix([1.0, 2.0, 3.0])  # two stored positions
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):

@@ -82,7 +82,7 @@ def picard_wave_step(ctx, max_iter=60):
     for _ in range(max_iter):
         n1, n2 = ctx.nonlinearity(u)
         m_n1 = fem.assemble_mass(space, n1)
-        a = (ctx.scheme.lead2 * m_n1 + ctx.stiff_frozen).to_dense()[np.ix_(ix, ix)]
+        a = (ctx.scheme.lead2 * m_n1.to_dense() + ctx.stiff_frozen.to_dense())[np.ix_(ix, ix)]
         rhs = (m_n1 @ ctx.d2u + tau * ctx.sb_d1 + tau * tau * ctx.f_load
                - tau * tau * fem.assemble_load(space, n2))
         u_new = np.zeros(space.n_dofs)
@@ -357,7 +357,7 @@ class TestStepContext:
         s_q = fem.assemble_weighted_stiffness(space, (q_vals, dq[:, :, None] * theta_grad))
         s_b = fem.assemble_weighted_stiffness(space, (b_vals, db[:, :, None] * theta_grad))
 
-        expected = ((tau * tau) * s_q + (tau * scheme.lead1) * s_b).to_dense()
+        expected = (tau * tau) * s_q.to_dense() + (tau * scheme.lead1) * s_b.to_dense()
         got = ctx.stiff_frozen.to_dense()
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
         expected = s_b @ ctx.d1u
@@ -587,6 +587,17 @@ class TestRunSimulation:
                 space, scheme=EULER, variant=LINEAR_WAVE, model=CONSTANT_MEDIUM,
                 heat=HeatParams(1.0, 0.0), tau=0.1, n_steps=2, u0=SINE_INITIAL,
                 u1=SINE_VELOCITY, theta0=SINE_INITIAL, snapshot_indices=[-1])
+        assert calls == []
+
+    @pytest.mark.parametrize("n_steps", [-3, 0, 2.5])
+    def test_bad_step_count_fails_before_compute(self, n_steps, monkeypatch):
+        space = small_space(4)
+        calls = count_factorizations(monkeypatch)
+        with pytest.raises(ValueError, match="n_steps"):
+            run_simulation(
+                space, scheme=EULER, variant=LINEAR_WAVE, model=CONSTANT_MEDIUM,
+                heat=HeatParams(1.0, 0.0), tau=0.1, n_steps=n_steps, u0=SINE_INITIAL,
+                u1=SINE_VELOCITY, theta0=SINE_INITIAL)
         assert calls == []
 
     def test_unknown_projection_fails_before_compute(self, monkeypatch):
