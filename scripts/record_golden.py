@@ -57,8 +57,7 @@ def manufactured_values(variant_name, scheme_name, degree, n, tau, steps) -> dic
         space, scheme=scheme, variant=variant, model=config.model, heat=config.heat,
         tau=tau, n_steps=steps, u0=pair.u_field(), u1=pair.ut_field(),
         theta0=pair.theta_field(), projection="ritz",
-        wave_source=pair.wave_source(variant, config.model),
-        heat_source=pair.heat_source(variant, config.model, config.heat))
+        sources=fem.source_loads(space, pair.sources(variant, config.model, config.heat)))
     e_tau, e_l2 = mms.total_error(result.state, pair, scheme)
     return {"e_tau": e_tau, "e_l2": e_l2, **_norms(result.state)}
 

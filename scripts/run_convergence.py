@@ -6,8 +6,9 @@ total discrete energy error and the final-time L2 error, with observed
 rates between consecutive meshes.  Results land as CSV files under the
 output root (--output, THERMOFEM_OUTPUT_DIR, or the working directory).
 
-Roughly 25 minutes on one core with default settings; pass --jobs 4 to run
-the meshes of each study in parallel.
+All four take about a minute on one core with default settings (51 s on a
+2-vCPU machine with BLAS on one thread); pass --jobs 4 to run the meshes of
+each study in parallel.
 """
 import argparse
 import pathlib

@@ -17,13 +17,14 @@ and load tables are einsum contractions; every stiffness form builds its
 local matrices with one GEMM against a table of reference basis products
 (see assemble_weighted_stiffness).  All matrices share the space's one
 pattern, so a solver system is a sum of data arrays, restricted to the
-interior dofs by one gather (FESpace.interior_matrix).
+interior dofs by one gather (FESpace.interior_matrix).  A run's sources
+are tabulated once on the error-degree points and assembled from those
+tables at each step (source_loads).
 """
 from __future__ import annotations
 
 import functools
 import math
-import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -45,8 +46,8 @@ __all__ = [
     "assemble_stiffness",
     "assemble_weighted_stiffness",
     "assemble_load",
+    "source_loads",
     "ritz_projection",
-    "point_memo",
     "nodal_interpolate",
     "error_norms",
 ]
@@ -381,7 +382,7 @@ class FEValues:
         # physical quadrature points: (nt, nq, 2)
         ref = rule.points[:, 1:]  # (xi, eta)
         self.points = space._v0[:, None, :] + np.einsum("cij,qj->cqi", space._jac, ref)
-        self.points.flags.writeable = False  # keys point_memo tables
+        self.points.flags.writeable = False  # shared by every caller of the table
         self.weights = rule.weights
         self.areas = space.cell_areas
 
@@ -415,42 +416,6 @@ class FEValues:
 
     def integrate(self, cell_values: np.ndarray) -> float:
         return float(np.einsum("c,q,cq->", self.areas, self.weights, cell_values, optimize=True))
-
-
-def point_memo(fn):
-    """Wrap fn(x), a function of a point table alone, with a one-entry memo.
-
-    A call on a read-only array that owns its data, such as FEValues.points,
-    or on a view of one, such as its reshape to (n, 2), keeps the result,
-    and the next call on the same view returns it without calling fn.  The
-    entry is keyed by that array's identity, held through a weak reference,
-    so it goes when the array does; no copy of the points is kept or
-    compared.  Any other input is evaluated by fn and not kept.  Results
-    are read-only, since they may be shared between callers.
-    """
-    entry = None  # (weak reference to the owner, view geometry, result)
-
-    def drop(ref):
-        nonlocal entry
-        if entry is not None and entry[0] is ref:
-            entry = None
-
-    def memo(x):
-        nonlocal entry
-        owner = x if x.base is None else x.base
-        keep = (isinstance(owner, np.ndarray) and owner.flags.owndata
-                and not owner.flags.writeable)
-        key = (x.shape, x.strides, x.__array_interface__["data"][0])
-        hit = entry
-        if keep and hit is not None and hit[0]() is owner and hit[1] == key:
-            return hit[2]
-        out = np.asarray(fn(x))
-        out.flags.writeable = False
-        if keep:
-            entry = (weakref.ref(owner, drop), key, out)
-        return out
-
-    return memo
 
 
 @dataclass
@@ -563,6 +528,32 @@ def assemble_load(space: FESpace, source, t: float = 0.0,
     local = np.einsum("q,cq,aq->ca", fev.weights, f_vals, fev.phi, optimize=True)
     local *= fev.areas[:, None]
     return np.bincount(space.cell_dofs.ravel(), weights=local.ravel(), minlength=space.n_dofs)
+
+
+def source_loads(space: FESpace, evaluator) -> Callable:
+    """The `sources` callable of run_simulation, t -> (wave load, heat load),
+    from a point-table evaluator.  evaluator(x) runs once, at the first call
+    (a run's first step, after its arguments are checked), on the space's
+    error-degree quadrature points x, shape (n, 2): it tabulates what does
+    not change in time and returns t -> (wave, heat) values at x, either
+    None for no source."""
+    degree = space.error_degree
+
+    @functools.cache
+    def at_points():
+        return evaluator(space.values(degree).points.reshape(-1, 2))
+
+    def load(values):
+        if values is None:
+            return None
+        shape = space.values(degree).points.shape[:2]
+        return assemble_load(space, values.reshape(shape), quad_degree=degree)
+
+    def sources(t: float):
+        wave, heat = at_points()(t)
+        return load(wave), load(heat)
+
+    return sources
 
 
 def _gradient_load(space: FESpace, grad_table: np.ndarray) -> np.ndarray:

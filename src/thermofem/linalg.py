@@ -5,8 +5,8 @@ construction, matching finite element accumulation semantics.  A
 TripletPattern fixes the structure for assemblies that repeat it and sums
 each one in triplet order.  Linear systems are solved by sparse LU
 factorization (factorize); the returned solver can be applied to any
-number of right-hand sides.  Every system the solver sees (wave, heat,
-Ritz and mass) has a structurally symmetric pattern, so the columns are
+number of right-hand sides.  Every system the solver sees (wave, heat
+and Ritz) has a structurally symmetric pattern, so the columns are
 ordered by multiple minimum degree on A^T + A, which fills in far less
 than scipy's default, COLAMD.
 
@@ -34,9 +34,9 @@ class SparseMatrix:
     __slots__ = ("_csr",)
 
     def __init__(self, csr):
-        csr = scipy.sparse.csr_matrix(csr)
-        csr.sum_duplicates()
-        csr.sort_indices()
+        if not isinstance(csr, scipy.sparse.csr_matrix):
+            csr = scipy.sparse.csr_matrix(csr)
+        csr.sum_duplicates()  # sorts too; returns at once on canonical input
         if not np.isfinite(csr.data).all():
             raise ValueError("matrix entries must be finite")
         self._csr = csr
@@ -141,8 +141,9 @@ class TripletPattern:
         data = np.asarray(data, dtype=np.float64)
         if data.shape != self.indices.shape:
             raise ValueError(f"got {data.size} entries for {self.indices.size} stored positions")
-        return SparseMatrix(scipy.sparse.csr_matrix(
-            (data, self.indices, self.indptr), shape=self.shape))
+        csr = scipy.sparse.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+        csr.has_canonical_format = True  # the structure comes from np.unique
+        return SparseMatrix(csr)
 
 
 def matvec(a: SparseMatrix, x) -> np.ndarray:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import fem
 from .coefficients import (HeatParams, LIVER_QUADRATIC, SpeedTable, TissueModel,
-                           absorption_weights, variant_by_name)
+                           variant_by_name)
 from .fem import FEFunction, FESpace, ScalarField, build_space, error_norms
 from .mesh import unit_square_mesh
 from .stepping import (FixedPointConfig, SimulationState, delta1, run_simulation,
@@ -44,23 +44,9 @@ _TWO_PI = 2.0 * math.pi
 _FOUR_PI = 4.0 * math.pi
 
 
-def _profile(fn, freq):
-    """Table of fn(freq x1) and fn(freq x2), stacked on a leading axis."""
-
-    def table(x):
-        out = np.empty((2,) + x.shape[:-1])
-        fn(freq * x[..., 0], out=out[0, ...])
-        fn(freq * x[..., 1], out=out[1, ...])
-        return out
-
-    return fem.point_memo(table)
-
-
-# The exact fields are these profiles times exp(+-rate t); on a quadrature
-# table they are evaluated once and reused by every step's sources.
-_U_SINES = _profile(np.sin, _TWO_PI)
-_U_COSINES = _profile(np.cos, _TWO_PI)
-_THETA_SINES = _profile(np.sin, _FOUR_PI)
+def _sines(freq, x):
+    """sin(freq x1) and sin(freq x2) at the points x."""
+    return np.sin(freq * x[..., 0]), np.sin(freq * x[..., 1])
 
 
 def _separable_grad(amp, s1, c1, s2, c2):
@@ -83,8 +69,8 @@ class ManufacturedPair:
 
     # -- wave field ----------------------------------------------------
     def u(self, x, t):
-        s = _U_SINES(np.asarray(x, dtype=np.float64))
-        return self.a1 * math.exp(self.rate1 * t) * s[0] * s[1]
+        s1, s2 = _sines(_TWO_PI, np.asarray(x, dtype=np.float64))
+        return self.a1 * math.exp(self.rate1 * t) * s1 * s2
 
     def u_t(self, x, t):
         return self.rate1 * self.u(x, t)
@@ -104,8 +90,8 @@ class ManufacturedPair:
 
     # -- temperature field ---------------------------------------------
     def theta(self, x, t):
-        s = _THETA_SINES(np.asarray(x, dtype=np.float64))
-        return self.a2 * math.exp(-self.rate2 * t) * s[0] * s[1]
+        s1, s2 = _sines(_FOUR_PI, np.asarray(x, dtype=np.float64))
+        return self.a2 * math.exp(-self.rate2 * t) * s1 * s2
 
     def theta_t(self, x, t):
         return -self.rate2 * self.theta(x, t)
@@ -134,56 +120,69 @@ class ManufacturedPair:
         return ScalarField(self.theta_t, lambda x, t: -self.rate2 * self.grad_theta(x, t))
 
     # -- source terms that make the pair solve the coupled system -------
-    def wave_source(self, variant, model: TissueModel) -> ScalarField:
-        # The sums below run in place but in the order of the formula
-        # utt - q lap - b rate1 lap (+ the nonlinear term), so the values
-        # are those of the plain expression while fewer tables are live.
-        def f(x, t):
-            u = self.u(x, t)
-            ut = self.rate1 * u
-            utt = self.rate1 * ut
-            speed = SpeedTable(model, self.theta(x, t))
-            lap = -2.0 * _TWO_PI * _TWO_PI * u
-            out = utt - speed.q() * lap
-            damping = speed.beta()
-            damping *= self.rate1
-            damping *= lap
-            out -= damping
-            if not variant.linear:
-                k_w, k_k = speed.k()
-                if variant.tag == "westervelt":
-                    energy = u * utt
-                    energy += ut * ut
-                    k_w *= 2.0
-                    k_w *= energy
-                    out += k_w
-                else:
-                    k_k *= 2.0
-                    k_k *= ut
-                    k_k *= utt
-                    out += k_k
-                    # grad u from the tabulated profiles, as grad_u forms it
-                    s, c = _U_SINES(x), _U_COSINES(x)
-                    amp = self.a1 * math.exp(self.rate1 * t) * _TWO_PI
-                    g = _separable_grad(amp, s[0], c[0], s[1], c[1])
-                    g2 = np.einsum("...e,...e->...", g, g)
-                    g2 *= 2.0 * self.rate1
-                    out += g2
-            return out
+    def sources(self, variant, model: TissueModel, heat: HeatParams):
+        """Point-table evaluator of the (wave, heat) sources, for
+        fem.source_loads: sources(...)(x) tabulates the sine profiles at
+        the points x once, and the function it returns gives both sources
+        at x for a time t from one u, one theta and one SpeedTable."""
+        gradient_coupling = variant.tag == "kuznetsov" and not variant.linear
 
-        return ScalarField(f)
+        def at_points(x):
+            x = np.asarray(x, dtype=np.float64)
+            s1, s2 = _sines(_TWO_PI, x)
+            th1, th2 = _sines(_FOUR_PI, x)
+            if gradient_coupling:
+                c1, c2 = np.cos(_TWO_PI * x[..., 0]), np.cos(_TWO_PI * x[..., 1])
 
-    def heat_source(self, variant, model: TissueModel, heat: HeatParams) -> ScalarField:
-        def g(x, t):
-            th = self.theta(x, t)
-            u = self.u(x, t)
-            ut = self.rate1 * u
-            a1, a2 = absorption_weights(variant, model, th)
-            absorbed = a1 * u * u + a2 * ut * ut
-            return (-self.rate2 * th - heat.kappa * (-2.0 * _FOUR_PI * _FOUR_PI * th)
-                    + heat.nu * th - absorbed)
+            # Each term is its own function, so its temporaries go before
+            # the other's are made.
+            def wave_term(u, speed, t):
+                ut = self.rate1 * u
+                utt = self.rate1 * ut
+                # In place, but in the order of utt - q lap - b rate1 lap
+                # (+ the nonlinear term): the plain expression's values.
+                lap = -2.0 * _TWO_PI * _TWO_PI * u
+                wave = utt - speed.q() * lap
+                damping = speed.beta()
+                damping *= self.rate1
+                damping *= lap
+                wave -= damping
+                if not variant.linear:
+                    k_w, k_k = speed.k()
+                    if variant.tag == "westervelt":
+                        energy = u * utt
+                        energy += ut * ut
+                        k_w *= 2.0
+                        k_w *= energy
+                        wave += k_w
+                    else:
+                        k_k *= 2.0
+                        k_k *= ut
+                        k_k *= utt
+                        wave += k_k
+                        amp = self.a1 * math.exp(self.rate1 * t) * _TWO_PI
+                        g = _separable_grad(amp, s1, c1, s2, c2)
+                        g2 = np.einsum("...e,...e->...", g, g)
+                        g2 *= 2.0 * self.rate1
+                        wave += g2
+                return wave
 
-        return ScalarField(g)
+            def heat_term(u, th, speed):
+                ut = self.rate1 * u
+                a1, a2 = speed.absorption_weights(variant)
+                absorbed = a1 * u * u + a2 * ut * ut
+                return (-self.rate2 * th - heat.kappa * (-2.0 * _FOUR_PI * _FOUR_PI * th)
+                        + heat.nu * th - absorbed)
+
+            def values(t):
+                u = self.a1 * math.exp(self.rate1 * t) * s1 * s2
+                th = self.a2 * math.exp(-self.rate2 * t) * th1 * th2
+                speed = SpeedTable(model, th)
+                return wave_term(u, speed, t), heat_term(u, th, speed)
+
+            return values
+
+        return at_points
 
 
 def plateau_index(rates, drop: float = 0.5) -> int | None:
@@ -274,8 +273,7 @@ def single_mesh_run(config: ConvergenceConfig, n: int) -> MeshRow:
         u1=pair.ut_field(),
         theta0=pair.theta_field(),
         projection="ritz",
-        wave_source=pair.wave_source(variant, config.model),
-        heat_source=pair.heat_source(variant, config.model, config.heat),
+        sources=fem.source_loads(space, pair.sources(variant, config.model, config.heat)),
         fp=FixedPointConfig(tol=config.fp_tol, max_iter=config.fp_max_iter),
     )
     e_tau, e_l2 = total_error(result.state, pair, scheme)

@@ -21,8 +21,9 @@ A BDF2 run takes its first step with Euler weights; the missing earlier
 wave level is backfilled as u^{-1} = u^0 - tau * u^1.
 
 Each step first builds a StepContext holding everything frozen over the
-step (coefficient tables at theta^n, history combinations, t_{n+1}); the
-wave and heat steps read their data from it.
+step (coefficient tables at theta^n, history combinations, t_{n+1}, and
+the wave and heat source loads at t_{n+1}); the wave and heat steps read
+their data from it.
 """
 from __future__ import annotations
 
@@ -203,10 +204,12 @@ class StepContext:
     stiffness assembly with the combined weight on the space's one matrix
     pattern, and sb_d1, the action a(delta1 u, beta phi_i), assembled as a
     load from grad_d1u, the gradient table of delta1 u that the Kuznetsov
-    remainder reuses."""
+    remainder reuses.  sources, if given, is called once, at t_{n+1}, for
+    the step's (wave, heat) load vectors (see run_simulation), kept as
+    f_load (zero when absent) and heat_load."""
 
     def __init__(self, state: SimulationState, scheme: TimeScheme, variant: EquationVariant,
-                 model: TissueModel, wave_source=None):
+                 model: TissueModel, sources: Callable | None = None):
         space = state.space
         tau = state.tau
         self.space = space
@@ -245,7 +248,8 @@ class StepContext:
         self.sb_d1 = (fem._gradient_load(space, b_vals[:, :, None] * self.grad_d1u)
                       + fem.assemble_load(space, db * d1u_dot_theta))
         self.t_next = state.time + tau
-        self.f_load = fem.assemble_load(space, wave_source, self.t_next)
+        wave_load, self.heat_load = (None, None) if sources is None else sources(self.t_next)
+        self.f_load = np.zeros(space.n_dofs) if wave_load is None else wave_load
 
     def nonlinearity(self, u_vec: np.ndarray):
         """Quasilinear factor N1 and remainder N2 tables at the iterate."""
@@ -344,14 +348,14 @@ def wave_step(ctx: StepContext, fp: FixedPointConfig, *, warn_threshold: float =
                     "solves": tuple(solves), "factorizations": 1}
 
 
-def heat_step(ctx: StepContext, u_new: np.ndarray, heat: HeatParams, factor_cache: dict,
-              heat_source=None):
+def heat_step(ctx: StepContext, u_new: np.ndarray, heat: HeatParams, factor_cache: dict):
     """Advance the temperature one step; returns (theta_new, the relative
     residual of its linear solve).
 
     The absorbed energy is evaluated from the new wave level, its discrete
-    time derivative, and the previous temperature.  The factorized heat
-    matrix is kept in factor_cache, keyed by the scheme's leading weight.
+    time derivative, and the previous temperature; the source is ctx.heat_load.
+    The factorized heat matrix is kept in factor_cache, keyed by the scheme's
+    leading weight.
     """
     space = ctx.space
     tau = ctx.tau
@@ -364,8 +368,8 @@ def heat_step(ctx: StepContext, u_new: np.ndarray, heat: HeatParams, factor_cach
     q_cell = ctx.speed.absorbed_energy(ctx.variant, u_cell, ut_cell)
 
     load = fem.assemble_load(space, q_cell)
-    if heat_source is not None:
-        load = load + fem.assemble_load(space, heat_source, ctx.t_next)
+    if ctx.heat_load is not None:
+        load = load + ctx.heat_load
     rhs = ctx.mass @ ctx.d1theta + tau * load
 
     key = eff.lead1
@@ -412,7 +416,7 @@ def run_simulation(space: FESpace, *, scheme: TimeScheme, variant: EquationVaria
                    model: TissueModel, heat: HeatParams, tau: float,
                    n_steps: int | None = None, final_time: float | None = None,
                    u0, u1, theta0, projection: str = "ritz",
-                   wave_source=None, heat_source=None,
+                   sources: Callable | None = None,
                    fp: FixedPointConfig = FixedPointConfig(),
                    snapshot_indices: Sequence[int] = (),
                    on_snapshot: Callable | None = None,
@@ -423,6 +427,11 @@ def run_simulation(space: FESpace, *, scheme: TimeScheme, variant: EquationVaria
     "nodal"), FEFunctions, or raw coefficient vectors.  The arguments are
     checked before any of them is projected.  Snapshot hooks receive
     (step_index, time, u_h, theta_h) with independent copies.
+
+    sources maps a time t to the (wave load, heat load) vectors on the
+    space, either None for no source, as is sources=None.  Each step's
+    StepContext calls it exactly once, at t_{n+1}; fem.source_loads builds
+    one from a point-table evaluator.
     """
     if not tau > 0.0:
         raise ValueError("tau must be positive")
@@ -457,9 +466,9 @@ def run_simulation(space: FESpace, *, scheme: TimeScheme, variant: EquationVaria
     for n in range(n_steps):
         heat_cached = len(heat_factors)
         try:
-            ctx = StepContext(state, scheme, variant, model, wave_source)
+            ctx = StepContext(state, scheme, variant, model, sources)
             u_new, info = wave_step(ctx, fp, warn_threshold=warn_threshold)
-            theta_new, heat_res = heat_step(ctx, u_new, heat, heat_factors, heat_source)
+            theta_new, heat_res = heat_step(ctx, u_new, heat, heat_factors)
         except Exception as e:
             e.step_index = n + 1
             if hasattr(e, "add_note"):

@@ -1,6 +1,4 @@
-import gc
 import math
-import weakref
 
 import numpy as np
 import pytest
@@ -244,6 +242,28 @@ class TestLoad:
         denom = np.linalg.norm(b12)
         assert np.linalg.norm(b - b12) / denom <= 1e-10
 
+    def test_source_loads_tabulate_once_and_match_fields(self):
+        # The evaluator runs once, at the first call, on the error-degree
+        # points; each time only rescales its table, and the loads equal
+        # those of the same source as an analytic field.
+        sp = build_space(unit_square_mesh(3), 2)
+        f = sine_field()
+        tabulated = []
+
+        def evaluator(x):
+            tabulated.append(x.shape)
+            profile = f.value(x)
+            return lambda t: (None, profile * (1.0 + t))
+
+        loads = fem.source_loads(sp, evaluator)
+        assert tabulated == []  # not before the run's first step
+        field = ScalarField(lambda x, t: f.value(x) * (1.0 + t))
+        for t in (0.0, 0.5, 0.25):
+            wave, heat = loads(t)
+            assert wave is None
+            assert np.array_equal(heat, assemble_load(sp, field, t))
+        assert tabulated == [(sp.values(sp.error_degree).points[..., 0].size, 2)]
+
 
 class TestRitz:
     def test_zero_field(self):
@@ -381,46 +401,13 @@ class TestErrorNorms:
         assert 0.0 < l2 <= eps * phi_norm * (1 + 1e-12)
 
 
-class TestPointMemo:
+class TestQuadraturePoints:
     def test_quadrature_points_are_read_only(self):
         fev = build_space(unit_square_mesh(2), 1).values()
         with pytest.raises(ValueError):
             fev.points[0, 0, 0] = 0.5
         with pytest.raises(ValueError):
             fev.points.reshape(-1, 2)[0] = 0.5
-
-    def test_read_only_table_is_evaluated_once_and_released(self):
-        calls = []
-
-        def fn(x):
-            calls.append(x.shape)
-            return x[..., 0] + x[..., 1]
-
-        memo = fem.point_memo(fn)
-        fev = build_space(unit_square_mesh(2), 1).values()
-        pts = fev.points.reshape(-1, 2)
-        first = memo(pts)
-        assert memo(fev.points.reshape(-1, 2)) is first
-        assert len(calls) == 1
-        assert np.array_equal(first, pts[:, 0] + pts[:, 1])
-        assert not first.flags.writeable
-        # another view of the same table is not the same input
-        assert np.array_equal(memo(fev.points[:, 0]), fev.points[:, 0].sum(axis=-1))
-        assert len(calls) == 2
-        # the entry goes with the table it was keyed on
-        kept = weakref.ref(memo(pts))
-        del fev, pts, first
-        gc.collect()
-        assert kept() is None
-
-    def test_writable_points_are_evaluated_every_call(self, rng):
-        calls = []
-        memo = fem.point_memo(lambda x: calls.append(1) or x.sum(axis=-1))
-        pts = rng.uniform(size=(5, 2))
-        memo(pts)
-        pts[:] = rng.uniform(size=(5, 2))
-        assert np.array_equal(memo(pts), pts.sum(axis=-1))
-        assert len(calls) == 2
 
 
 class TestFEFunction:

@@ -107,6 +107,15 @@ class TestTripletPattern:
         with pytest.raises(ValueError):
             pattern.matrix([1.0, 2.0, 3.0])  # two stored positions
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_matrix_rejects_nonfinite_data(self, bad):
+        # matrix() marks its structure canonical, so scipy skips its own
+        # scan; the finiteness check must still run.
+        pattern = TripletPattern(2, 2, [0, 1, 1], [0, 1, 1])
+        assert np.array_equal(pattern.matrix([1.0, 2.0]).to_dense(), np.diag([1.0, 2.0]))
+        with pytest.raises(ValueError, match="finite"):
+            pattern.matrix([1.0, bad])
+
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             TripletPattern(2, 2, [0, 2], [0, 0])

@@ -25,6 +25,7 @@ from thermofem import (
     nodal_interpolate,
     unit_square_mesh,
 )
+from thermofem import coefficients, fem
 from thermofem.coefficients import SpeedTable
 from thermofem.mms import ManufacturedPair, MeshRow, plateau_index, single_mesh_run, total_error
 
@@ -149,7 +150,13 @@ class TestDerivativeOracles:
                        [fd_lap(self.pair.theta, x[i], t[i]) for i in range(1000)])
 
 
-def wave_source_oracle(pair, variant, model, x, t):
+def source_values(pair, variant, model, x, t):
+    """(wave, heat) sources of the pair at the points x and time t, from the
+    evaluator that a run tabulates on its quadrature points."""
+    return pair.sources(variant, model, HEAT)(x)(t)
+
+
+def wave_oracle(pair, variant, model, x, t):
     u = pair.u(x, t)
     ut = fd_t(pair.u, x, t)
     utt = fd_tt(pair.u, x, t)
@@ -169,7 +176,7 @@ def wave_source_oracle(pair, variant, model, x, t):
     return out
 
 
-def heat_source_oracle(pair, variant, model, heat, x, t):
+def heat_oracle(pair, variant, model, heat, x, t):
     th = pair.theta(x, t)
     u = pair.u(x, t)
     ut = fd_t(pair.u, x, t)
@@ -180,58 +187,57 @@ def heat_source_oracle(pair, variant, model, heat, x, t):
 
 class TestSourceOracles:
     @pytest.mark.parametrize("variant", [WESTERVELT, KUZNETSOV], ids=["w", "k"])
-    def test_wave_source(self, variant, samples):
+    def test_wave_term(self, variant, samples):
         pair = ManufacturedPair()
-        field = pair.wave_source(variant, LIVER_QUADRATIC)
         x, t = samples
-        exact = evaluate(field.value, x, t)
+        exact = evaluate(
+            lambda xi, ti: source_values(pair, variant, LIVER_QUADRATIC, xi, ti)[0], x, t)
         oracle = evaluate(
-            lambda xi, ti: wave_source_oracle(pair, variant, LIVER_QUADRATIC, xi, ti), x, t)
+            lambda xi, ti: wave_oracle(pair, variant, LIVER_QUADRATIC, xi, ti), x, t)
         assert_matches(exact, oracle)
 
     @pytest.mark.parametrize("variant", [WESTERVELT, KUZNETSOV], ids=["w", "k"])
-    def test_heat_source(self, variant, samples):
+    def test_heat_term(self, variant, samples):
         pair = ManufacturedPair()
-        field = pair.heat_source(variant, LIVER_QUADRATIC, HEAT)
         x, t = samples
-        exact = evaluate(field.value, x, t)
+        exact = evaluate(
+            lambda xi, ti: source_values(pair, variant, LIVER_QUADRATIC, xi, ti)[1], x, t)
         oracle = evaluate(
-            lambda xi, ti: heat_source_oracle(pair, variant, LIVER_QUADRATIC, HEAT, xi, ti), x, t)
+            lambda xi, ti: heat_oracle(pair, variant, LIVER_QUADRATIC, HEAT, xi, ti), x, t)
         assert_matches(exact, oracle)
 
-    def test_wave_source_survives_on_boundary(self, rng):
+    def test_wave_term_survives_on_boundary(self, rng):
         # u vanishes on the wall but its normal derivative does not, so the
         # Kuznetsov gradient coupling keeps the source nonzero there.
         pair = ManufacturedPair()
-        field = pair.wave_source(KUZNETSOV, LIVER_QUADRATIC)
         s = rng.uniform(0.05, 0.45, size=20)
         edge = np.stack([np.zeros(20), s], axis=-1)
-        vals = field.value(edge, 0.5)
-        oracle = wave_source_oracle(pair, KUZNETSOV, LIVER_QUADRATIC, edge, 0.5)
+        vals, _ = source_values(pair, KUZNETSOV, LIVER_QUADRATIC, edge, 0.5)
+        oracle = wave_oracle(pair, KUZNETSOV, LIVER_QUADRATIC, edge, 0.5)
         assert np.all(np.abs(vals) > 0.0)
         assert_matches(vals, oracle)
 
-    def test_zero_wave_amplitude_zeroes_wave_source(self, rng):
+    def test_zero_wave_amplitude_zeroes_wave_term(self, rng):
         pair = ManufacturedPair(a1=0.0)
-        field = pair.wave_source(WESTERVELT, LIVER_QUADRATIC)
         x = rng.uniform(0.0, 1.0, size=(50, 2))
-        assert np.all(field.value(x, 0.4) == 0.0)
+        wave, _ = source_values(pair, WESTERVELT, LIVER_QUADRATIC, x, 0.4)
+        assert np.all(wave == 0.0)
 
-    def test_zero_amplitudes_zero_heat_source(self, rng):
+    def test_zero_amplitudes_zero_heat_term(self, rng):
         pair = ManufacturedPair(a1=0.0, a2=0.0)
-        field = pair.heat_source(WESTERVELT, LIVER_QUADRATIC, HEAT)
         x = rng.uniform(0.0, 1.0, size=(50, 2))
-        assert np.all(field.value(x, 0.4) == 0.0)
+        _, heat = source_values(pair, WESTERVELT, LIVER_QUADRATIC, x, 0.4)
+        assert np.all(heat == 0.0)
 
-    def test_heat_source_decays_without_wave(self, rng):
+    def test_heat_term_decays_without_wave(self, rng):
         # With no acoustic field the source inherits theta's e^{-rate2 t}
         # envelope.
         pair = ManufacturedPair(a1=0.0)
-        field = pair.heat_source(WESTERVELT, LIVER_QUADRATIC, HEAT)
         x = rng.uniform(0.0, 1.0, size=(200, 2))
+        values = pair.sources(WESTERVELT, LIVER_QUADRATIC, HEAT)(x)
         envelope = (pair.rate2 + HEAT.kappa * 2.0 * (4 * math.pi) ** 2 + HEAT.nu) * pair.a2
         for t in (0.0, 2.0, 5.0):
-            assert np.max(np.abs(field.value(x, t))) <= envelope * math.exp(-pair.rate2 * t)
+            assert np.max(np.abs(values(t)[1])) <= envelope * math.exp(-pair.rate2 * t)
 
 
 TWO_PI = 2.0 * math.pi
@@ -266,36 +272,53 @@ def written_out_sources(pair, variant, model, heat, x, t):
 
 
 class TestTabulatedProfiles:
-    """The sine profiles are tabulated once per read-only quadrature table;
-    every evaluation must still equal the formula, bit for bit."""
+    """The sine profiles are tabulated once per run; every evaluation must
+    still equal the formula, bit for bit, and so must the loads."""
 
     @pytest.mark.parametrize("variant", [WESTERVELT, KUZNETSOV, LINEAR_WAVE],
                              ids=["w", "k", "linear"])
     def test_sources_bit_identical_on_tables(self, variant):
         pair = ManufacturedPair(a1=0.8, a2=2e-4, rate1=1.3, rate2=0.4)
-        wave = pair.wave_source(variant, LIVER_QUADRATIC)
-        heat = pair.heat_source(variant, LIVER_QUADRATIC, HEAT)
-        first, second = (build_space(unit_square_mesh(n), 2) for n in (3, 4))
-        table = first.values(first.error_degree).points.reshape(-1, 2)
-        other = second.values(second.error_degree).points.reshape(-1, 2)
-        for pts, t in ((table, 0.0), (table, 0.3), (table, 0.7), (table.copy(), 0.7),
-                       (other, 0.2), (table, 0.9)):
-            want_wave, want_heat = written_out_sources(pair, variant, LIVER_QUADRATIC,
-                                                       HEAT, pts, t)
-            assert np.array_equal(wave.value(pts, t), want_wave)
-            assert np.array_equal(heat.value(pts, t), want_heat)
+        evaluator = pair.sources(variant, LIVER_QUADRATIC, HEAT)
+        for n, times in ((3, (0.0, 0.3, 0.7)), (4, (0.2, 0.9))):
+            space = build_space(unit_square_mesh(n), 2)
+            pts = space.values(space.error_degree).points.reshape(-1, 2)
+            values = evaluator(pts)
+            loads = fem.source_loads(space, evaluator)
+            for t in times:
+                want = written_out_sources(pair, variant, LIVER_QUADRATIC, HEAT, pts, t)
+                got_loads = loads(t)
+                for got, expected, load in zip(values(t), want, got_loads):
+                    assert np.array_equal(got, expected)
+                    field = ScalarField(lambda x, s, e=expected: e.reshape(x.shape[:-1]))
+                    assert np.array_equal(load, fem.assemble_load(space, field, t))
 
     def test_mutated_writable_points_are_not_stale(self, rng):
+        # Nothing is kept per point array: an evaluator applied to an array
+        # after it was overwritten sees the new points.
         pair = ManufacturedPair()
-        wave = pair.wave_source(WESTERVELT, LIVER_QUADRATIC)
-        heat = pair.heat_source(WESTERVELT, LIVER_QUADRATIC, HEAT)
+        evaluator = pair.sources(WESTERVELT, LIVER_QUADRATIC, HEAT)
         pts = rng.uniform(0.0, 1.0, size=(40, 2))
-        wave.value(pts, 0.5), heat.value(pts, 0.5)
+        evaluator(pts)(0.5)
         pts[:] = rng.uniform(0.0, 1.0, size=(40, 2))
-        want_wave, want_heat = written_out_sources(pair, WESTERVELT, LIVER_QUADRATIC,
-                                                   HEAT, pts, 0.5)
-        assert np.array_equal(wave.value(pts, 0.5), want_wave)
-        assert np.array_equal(heat.value(pts, 0.5), want_heat)
+        want = written_out_sources(pair, WESTERVELT, LIVER_QUADRATIC, HEAT, pts, 0.5)
+        for got, expected in zip(evaluator(pts)(0.5), want):
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("variant", [WESTERVELT, KUZNETSOV], ids=["w", "k"])
+    def test_one_speed_table_per_step(self, variant, monkeypatch):
+        # Both loads of a step come from one evaluation of the speed
+        # polynomial.
+        space = build_space(unit_square_mesh(3), 1)
+        loads = fem.source_loads(space, ManufacturedPair().sources(variant, LIVER_QUADRATIC,
+                                                                   HEAT))
+        calls = []
+        speed_of_sound = coefficients.speed_of_sound
+        monkeypatch.setattr(coefficients, "speed_of_sound",
+                            lambda *args: calls.append(1) or speed_of_sound(*args))
+        wave, heat = loads(0.3)
+        assert wave.shape == heat.shape == (space.n_dofs,)
+        assert len(calls) == 1
 
 
 class TestTotalError:

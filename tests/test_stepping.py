@@ -325,9 +325,8 @@ class TestWaveStep:
             space, scheme=EULER, variant=KUZNETSOV, model=LIVER_QUADRATIC,
             heat=HeatParams(1.0, 1e-5), tau=1.0 / 128, n_steps=16,
             u0=pair.u_field(), u1=pair.ut_field(), theta0=pair.theta_field(),
-            wave_source=pair.wave_source(KUZNETSOV, LIVER_QUADRATIC),
-            heat_source=pair.heat_source(KUZNETSOV, LIVER_QUADRATIC,
-                                         HeatParams(1.0, 1e-5)))
+            sources=fem.source_loads(space, pair.sources(KUZNETSOV, LIVER_QUADRATIC,
+                                                         HeatParams(1.0, 1e-5))))
         for rep in result.reports:
             assert rep.iterations <= 10
             incs = rep.increments
@@ -441,10 +440,10 @@ class TestHeatStep:
         u_new = interior_vector(space, rng, scale=0.3)
         g = ScalarField(lambda x, t: (1.0 + x[..., 0]) * (1.0 + t))
 
-        ctx = StepContext(state, EULER, WESTERVELT, LIVER_QUADRATIC)
-        theta_new, _ = heat_step(ctx, u_new, heat, {}, heat_source=g)
+        ctx = StepContext(state, EULER, WESTERVELT, LIVER_QUADRATIC,
+                          lambda t: (None, fem.assemble_load(space, g, t)))
+        theta_new, _ = heat_step(ctx, u_new, heat, {})
 
-        import thermofem.fem as fem
         from thermofem import absorption_weights
         fev = space.values()
         theta_cell = fev.fe_values(state.theta[0])
@@ -535,6 +534,41 @@ class TestRunSimulation:
         assert np.array_equal(seen["u"], u0)
         assert np.array_equal(seen["theta"], u0)
         assert np.array_equal(result.state.u[2], u0 - tau * u1)
+
+    def test_sources_called_once_per_step_at_new_time(self):
+        space = small_space(3)
+        times = []
+
+        def sources(t):
+            times.append(t)
+            return None, None
+
+        tau = 0.125
+        run_simulation(space, scheme=BDF2, variant=WESTERVELT, model=LIVER_QUADRATIC,
+                       heat=HeatParams(1.0, 1e-5), tau=tau, n_steps=4, u0=SINE_INITIAL,
+                       u1=SINE_VELOCITY, theta0=SINE_INITIAL, projection="nodal",
+                       sources=sources)
+        assert times == [(k + 1) * tau for k in range(4)]
+
+    def test_absent_load_equals_zero_load(self, rng):
+        space = small_space(4)
+        f = interior_vector(space, rng, scale=50.0)
+        g = interior_vector(space, rng, scale=0.5)
+        zero = np.zeros(space.n_dofs)
+
+        def run(wave, heat):
+            return run_simulation(
+                space, scheme=BDF2, variant=KUZNETSOV, model=LIVER_QUADRATIC,
+                heat=HeatParams(1.0, 1e-5), tau=0.05, n_steps=3, u0=SINE_INITIAL,
+                u1=SINE_VELOCITY, theta0=SINE_INITIAL, projection="nodal",
+                sources=lambda t: (None if wave is None else (1.0 + t) * wave,
+                                   None if heat is None else (1.0 - t) * heat)).state
+
+        for absent, explicit in (((f, None), (f, zero)), ((None, g), (zero, g))):
+            a, b = run(*absent), run(*explicit)
+            assert np.array_equal(a.u[0], b.u[0])
+            assert np.array_equal(a.theta[0], b.theta[0])
+            assert np.any(a.u[0] != 0.0) and np.any(a.theta[0] != 0.0)
 
     def test_final_time_must_divide(self):
         space = small_space(2)
