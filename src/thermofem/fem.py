@@ -11,15 +11,17 @@ rules collapsed onto the triangle; a rule of requested degree d integrates
 all polynomials of total degree <= d exactly.  Weights are normalized to
 sum to one, so integrals are area * sum(w * f).
 
-Assembly weights are analytic fields (ScalarField) or per-cell quadrature
-tables, the latter with a gradient table where the form needs one.  Mass
-and load tables are einsum contractions; every stiffness form builds its
-local matrices with one GEMM against a table of reference basis products
-(see assemble_weighted_stiffness).  All matrices share the space's one
-pattern, so a solver system is a sum of data arrays, restricted to the
-interior dofs by one gather (FESpace.interior_matrix).  A run's sources
-are tabulated once on the error-degree points and assembled from those
-tables at each step (source_loads).
+Assembly weights and load sources are tables of values on the quadrature
+points, shape (cells, points), with a gradient table where the form
+needs one; analytic fields (ScalarField) serve initial data, projections
+and error norms.  Mass and load tables are einsum contractions; every
+stiffness form builds its local matrices with one GEMM against a table
+of reference basis products (see assemble_weighted_stiffness).  All
+matrices share the space's one pattern, so a solver system is a sum of
+data arrays, restricted to the interior dofs by one gather
+(FESpace.interior_matrix).  A run's sources are tabulated once on the
+error-degree points and assembled from those tables at each step
+(source_loads).
 """
 from __future__ import annotations
 
@@ -436,37 +438,20 @@ class FEFunction:
         return FEFunction(self.space, self.values.copy())
 
 
-def _weight_tables(fev: FEValues, weight, t: float, need_gradient: bool):
-    """Evaluate an assembly weight on all quadrature points.
-
-    Returns (values, gradients) with shapes (nt, nq) and (nt, nq, 2);
-    gradients may be None when not needed.
-    """
-    nt, nq = fev.points.shape[:2]
-    if weight is None:
-        return np.ones((nt, nq)), (np.zeros((nt, nq, 2)) if need_gradient else None)
-    if isinstance(weight, np.ndarray):
-        if weight.shape != (nt, nq):
-            raise ValueError(f"weight table has shape {weight.shape}, expected ({nt}, {nq})")
-        return weight, (np.zeros((nt, nq, 2)) if need_gradient else None)
-    if isinstance(weight, tuple) and len(weight) == 2:
-        vals, grads = weight
-        return np.asarray(vals), (np.asarray(grads) if need_gradient else None)
-    if isinstance(weight, ScalarField):
-        pts = fev.points.reshape(-1, 2)
-        vals = weight.value(pts, t).reshape(fev.points.shape[:2])
-        grads = None
-        if need_gradient:
-            grads = weight.gradient(pts, t).reshape(fev.points.shape)
-        return vals, grads
-    raise TypeError(f"unsupported weight type {type(weight).__name__}")
+def _table(table, shape: tuple, what: str) -> np.ndarray:
+    """table itself, after checking that it is an array of the given shape."""
+    if not isinstance(table, np.ndarray) or table.shape != shape:
+        got = table.shape if isinstance(table, np.ndarray) else type(table).__name__
+        raise ValueError(f"{what} must be an array of shape {shape}, got {got}")
+    return table
 
 
-def assemble_mass(space: FESpace, weight=None, t: float = 0.0,
-                  quad_degree: int | None = None) -> SparseMatrix:
-    """Weighted mass matrix M_ij = integral of w * phi_j * phi_i."""
+def assemble_mass(space: FESpace, weight=None, quad_degree: int | None = None) -> SparseMatrix:
+    """Weighted mass matrix M_ij = integral of w * phi_j * phi_i, for a table
+    of w on the quadrature points, shape (nt, nq); weight=None is w = 1."""
     fev = space.values(quad_degree)
-    w_vals, _ = _weight_tables(fev, weight, t, need_gradient=False)
+    shape = fev.points.shape[:2]
+    w_vals = np.ones(shape) if weight is None else _table(weight, shape, "mass weight")
     local = np.einsum("q,cq,aq,bq->cab", fev.weights, w_vals, fev.phi, fev.phi, optimize=True)
     local *= fev.areas[:, None, None]
     return space.matrix_pattern().assemble(local)
@@ -477,15 +462,16 @@ def assemble_stiffness(space: FESpace, quad_degree: int | None = None) -> Sparse
     return assemble_weighted_stiffness(space, None, quad_degree=quad_degree)
 
 
-def assemble_weighted_stiffness(space: FESpace, weight, t: float = 0.0,
+def assemble_weighted_stiffness(space: FESpace, weight,
                                 quad_degree: int | None = None) -> SparseMatrix:
     """Matrix of the form a(u, w phi): A_ij = (w grad phi_j + phi_j grad w) . grad phi_i ...
 
     Row index i is the test function, column j the trial function:
     A_ij = integral of w * grad phi_j . grad phi_i + (grad phi_j . grad w) * phi_i,
     i.e. the weight multiplies the test function inside the bilinear form
-    and its gradient enters through the product rule.  weight=None is
-    w = 1, the plain stiffness form.
+    and its gradient enters through the product rule.  weight is a pair
+    (values, gradients) of tables on the quadrature points, shapes (nt, nq)
+    and (nt, nq, 2); weight=None is w = 1, the plain stiffness form.
 
     The local matrices come from one GEMM instead of a contraction over
     (cell, point, component, basis).  The form is mapped to the reference
@@ -497,8 +483,15 @@ def assemble_weighted_stiffness(space: FESpace, weight, t: float = 0.0,
     small on large meshes.
     """
     fev = space.values(quad_degree)
-    w_vals, w_grads = _weight_tables(fev, weight, t, need_gradient=True)
-    nt, nq = w_vals.shape
+    nt, nq = fev.points.shape[:2]
+    if weight is None:
+        w_vals, w_grads = np.ones((nt, nq)), np.zeros((nt, nq, 2))
+    elif isinstance(weight, tuple) and len(weight) == 2:
+        w_vals = _table(weight[0], (nt, nq), "weight values")
+        w_grads = _table(weight[1], (nt, nq, 2), "weight gradients")
+    else:
+        raise ValueError(f"weight must be None or a (values, gradients) pair of arrays of "
+                         f"shapes {(nt, nq)} and {(nt, nq, 2)}, got {type(weight).__name__}")
     inv = space._inv_jac * fev.areas[:, None, None]
     metric = np.matmul(inv, space._inv_jac.transpose(0, 2, 1))[:, [0, 0, 1], [0, 1, 1], None]
     n_loc = fev.phi.shape[0]
@@ -512,19 +505,11 @@ def assemble_weighted_stiffness(space: FESpace, weight, t: float = 0.0,
     return space.matrix_pattern().assemble(local.reshape(nt, n_loc, n_loc))
 
 
-def assemble_load(space: FESpace, source, t: float = 0.0,
-                  quad_degree: int | None = None) -> np.ndarray:
-    """Load vector b_i = integral of f * phi_i.
-
-    Analytic sources default to the elevated error-norm quadrature degree;
-    precomputed value tables keep the assembly degree they were built at.
-    """
-    if source is None:
-        return np.zeros(space.n_dofs)
-    if quad_degree is None and isinstance(source, ScalarField):
-        quad_degree = space.error_degree
+def assemble_load(space: FESpace, source, quad_degree: int | None = None) -> np.ndarray:
+    """Load vector b_i = integral of f * phi_i, for a table of f on the
+    quadrature points, shape (nt, nq)."""
     fev = space.values(quad_degree)
-    f_vals, _ = _weight_tables(fev, source, t, need_gradient=False)
+    f_vals = _table(source, fev.points.shape[:2], "load source")
     local = np.einsum("q,cq,aq->ca", fev.weights, f_vals, fev.phi, optimize=True)
     local *= fev.areas[:, None]
     return np.bincount(space.cell_dofs.ravel(), weights=local.ravel(), minlength=space.n_dofs)

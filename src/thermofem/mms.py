@@ -168,9 +168,7 @@ class ManufacturedPair:
                 return wave
 
             def heat_term(u, th, speed):
-                ut = self.rate1 * u
-                a1, a2 = speed.absorption_weights(variant)
-                absorbed = a1 * u * u + a2 * ut * ut
+                absorbed = speed.absorbed_energy(variant, u, self.rate1 * u)
                 return (-self.rate2 * th - heat.kappa * (-2.0 * _FOUR_PI * _FOUR_PI * th)
                         + heat.nu * th - absorbed)
 
@@ -268,7 +266,7 @@ def single_mesh_run(config: ConvergenceConfig, n: int) -> MeshRow:
         model=config.model,
         heat=config.heat,
         tau=config.tau,
-        final_time=config.final_time,
+        n_steps=step_count(config.final_time, config.tau),
         u0=pair.u_field(),
         u1=pair.ut_field(),
         theta0=pair.theta_field(),

@@ -244,7 +244,7 @@ def run_scenario(config: ScenarioConfig, output_dir=None) -> ScenarioResult:
         model=model,
         heat=heat,
         tau=config.tau,
-        final_time=config.final_time,
+        n_steps=config.n_steps,
         u0=u0,
         u1=u1,
         theta0=theta0,

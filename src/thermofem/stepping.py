@@ -15,15 +15,18 @@ perfusion are implicit, the absorbed energy is evaluated from the fresh
 wave iterate and the previous temperature, so it costs a single symmetric
 positive definite solve, with a factor kept for the whole run.
 
-Two schemes share one code path through their leading weights and history
-combinations: implicit Euler (weights 1, 1) and BDF2 (weights 3/2, 2).
-A BDF2 run takes its first step with Euler weights; the missing earlier
-wave level is backfilled as u^{-1} = u^0 - tau * u^1.
+Two schemes share one code path: a scheme is its leading weights and the
+weights of its history combinations, newest level first (its tag only
+names it in the step reports).  Implicit Euler has leading weights (1, 1) and
+history weights (1) and (2, -1); BDF2 has (3/2, 2), (2, -1/2) and
+(5, -4, 1).  A run's first step has two wave levels, so a BDF2 run takes
+it with Euler weights; the missing earlier wave level is backfilled as
+u^{-1} = u^0 - tau * u^1.
 
 Each step first builds a StepContext holding everything frozen over the
-step (coefficient tables at theta^n, history combinations, t_{n+1}, and
-the wave and heat source loads at t_{n+1}); the wave and heat steps read
-their data from it.
+step (coefficient tables at theta^n, history combinations, and the wave
+and heat source loads at t_{n+1}); the wave and heat steps read their
+data from it.
 """
 from __future__ import annotations
 
@@ -77,20 +80,27 @@ class DegeneracyWarning(UserWarning):
     """The quasilinear factor came close to zero."""
 
 
+# The wave step warns once its quasilinear factor dips below this value.
+_N1_WARN = 0.1
+
+
 @dataclass(frozen=True)
 class TimeScheme:
     """Implicit multistep scheme written as
     d_tau a = (lead1 * a^{n+1} - delta1) / tau,
-    d_tau^2 a = (lead2 * a^{n+1} - delta2) / tau^2."""
+    d_tau^2 a = (lead2 * a^{n+1} - delta2) / tau^2,
+    where delta1 and delta2 weigh the history levels a^n, a^{n-1}, ... by
+    d1 and d2, newest first."""
 
     tag: str
     lead1: float
     lead2: float
-    depth: int  # history levels entering delta2
+    d1: tuple
+    d2: tuple
 
 
-EULER = TimeScheme("euler", 1.0, 1.0, 2)
-BDF2 = TimeScheme("bdf2", 1.5, 2.0, 3)
+EULER = TimeScheme("euler", 1.0, 1.0, (1.0,), (2.0, -1.0))
+BDF2 = TimeScheme("bdf2", 1.5, 2.0, (2.0, -0.5), (5.0, -4.0, 1.0))
 
 
 def scheme_by_name(name: str) -> TimeScheme:
@@ -100,26 +110,25 @@ def scheme_by_name(name: str) -> TimeScheme:
         raise ValueError(f"unknown time scheme {name!r}") from None
 
 
+def _combine(weights: tuple, history: Sequence[np.ndarray]) -> np.ndarray:
+    """sum_k weights[k] * history[k], summed from the newest level on."""
+    if len(history) < len(weights):
+        raise ValueError(f"the combination needs {len(weights)} history levels, "
+                         f"got {len(history)}")
+    out = weights[0] * np.asarray(history[0])
+    for w, level in zip(weights[1:], history[1:]):
+        out = out + w * np.asarray(level)
+    return out
+
+
 def delta1(scheme: TimeScheme, history: Sequence[np.ndarray]) -> np.ndarray:
     """First-derivative history combination; history[0] is the newest level."""
-    if scheme.tag == "euler":
-        if len(history) < 1:
-            raise ValueError("euler delta1 needs one history level")
-        return np.asarray(history[0], dtype=np.float64)
-    if len(history) < 2:
-        raise ValueError("bdf2 delta1 needs two history levels")
-    return 2.0 * np.asarray(history[0]) - 0.5 * np.asarray(history[1])
+    return _combine(scheme.d1, history)
 
 
 def delta2(scheme: TimeScheme, history: Sequence[np.ndarray]) -> np.ndarray:
     """Second-derivative history combination; history[0] is the newest level."""
-    if scheme.tag == "euler":
-        if len(history) < 2:
-            raise ValueError("euler delta2 needs two history levels")
-        return 2.0 * np.asarray(history[0]) - np.asarray(history[1])
-    if len(history) < 3:
-        raise ValueError("bdf2 delta2 needs three history levels")
-    return 5.0 * np.asarray(history[0]) - 4.0 * np.asarray(history[1]) + np.asarray(history[2])
+    return _combine(scheme.d2, history)
 
 
 def step_count(final_time: float, tau: float) -> int:
@@ -152,12 +161,11 @@ class StepReport:
     index: int
     scheme_tag: str
     iterations: int
-    increment: float
     n1_min: float
-    increments: tuple = ()
-    wave_solves: tuple = ()  # relative residual of each linear wave solve
-    heat_residual: float = 0.0  # relative residual of the heat solve
-    factorizations: int = 0  # LU factorizations made in the step, wave and heat
+    increments: tuple  # relative increment of each iterate
+    wave_solves: tuple  # relative residual of each linear wave solve
+    heat_residual: float  # relative residual of the heat solve
+    factorizations: int  # LU factorizations made in the step, wave and heat
 
 
 @dataclass
@@ -186,18 +194,11 @@ class SimulationResult:
     max_theta: np.ndarray
 
 
-def _effective_scheme(scheme: TimeScheme, step: int) -> TimeScheme:
-    # BDF2 has no second history level at the first step; take it with Euler.
-    if scheme.tag == "bdf2" and step == 0:
-        return EULER
-    return scheme
-
-
 class StepContext:
     """Frozen data of one time step, shared by its wave and heat halves:
     the sound-speed and coefficient tables at theta^n, the history
-    combinations, t_{n+1}, and the parts of the wave system that do not
-    change across fixed-point iterations.
+    combinations, and the parts of the wave system that do not change
+    across fixed-point iterations.
 
     Those parts are stiff_frozen, the matrix of
     tau^2 a(u, q phi) + tau lead1 a(u, beta phi), made by one weighted
@@ -215,18 +216,18 @@ class StepContext:
         self.space = space
         self.tau = tau
         self.step_index = state.step + 1
-        self.scheme = _effective_scheme(scheme, state.step)
+        # The first step has two wave levels, u^0 and u^{-1}: Euler's depth.
+        self.scheme = EULER if state.step == 0 else scheme
         self.variant = variant
-        self.model = model
         self.fev = space.values()
         self.mass = space.mass_matrix()
         self.interior = space.interior_dofs
         self.u_prev = state.u[0]
 
         theta_n = state.theta[0]
-        self.theta_cell = self.fev.fe_values(theta_n)
+        theta_cell = self.fev.fe_values(theta_n)
         theta_grad = self.fev.fe_gradients(theta_n)
-        self.speed = coef.SpeedTable(model, self.theta_cell, slope=True)
+        self.speed = coef.SpeedTable(model, theta_cell, slope=True)
         q_vals, dq = self.speed.q(derivative=True)
         b_vals, db = self.speed.beta(derivative=True)
 
@@ -247,8 +248,7 @@ class StepContext:
         d1u_dot_theta = np.einsum("cqe,cqe->cq", self.grad_d1u, theta_grad)
         self.sb_d1 = (fem._gradient_load(space, b_vals[:, :, None] * self.grad_d1u)
                       + fem.assemble_load(space, db * d1u_dot_theta))
-        self.t_next = state.time + tau
-        wave_load, self.heat_load = (None, None) if sources is None else sources(self.t_next)
+        wave_load, self.heat_load = (None, None) if sources is None else sources(state.time + tau)
         self.f_load = np.zeros(space.n_dofs) if wave_load is None else wave_load
 
     def nonlinearity(self, u_vec: np.ndarray):
@@ -272,7 +272,7 @@ class StepContext:
         return n1, n2
 
 
-def wave_step(ctx: StepContext, fp: FixedPointConfig, *, warn_threshold: float = 0.1):
+def wave_step(ctx: StepContext, fp: FixedPointConfig):
     """Advance the wave field one step; returns (u_new, step info dict).
 
     The fixed point starts from the previous level u^n and runs as a chord
@@ -284,7 +284,9 @@ def wave_step(ctx: StepContext, fp: FixedPointConfig, *, warn_threshold: float =
     iterates drops below fp.tol (absolute when the new iterate is zero), or
     as soon as the nonlinearity tables stop changing while n1 equals the
     table the factor was built from, in which case the next correction
-    would be rounding alone.
+    would be rounding alone.  A DegeneracyWarning is issued while the
+    factor's minimum lies below 0.1, and a DegeneracyError raised once it
+    is no longer positive.
     """
     space = ctx.space
     tau = ctx.tau
@@ -304,7 +306,7 @@ def wave_step(ctx: StepContext, fp: FixedPointConfig, *, warn_threshold: float =
             raise DegeneracyError(
                 f"quasilinear factor lost positivity (min {n1_min:.3e}) at step {ctx.step_index}"
             )
-        if n1_min < warn_threshold:
+        if n1_min < _N1_WARN:
             warnings.warn(
                 f"quasilinear factor close to degenerate (min {n1_min:.3e})",
                 DegeneracyWarning,
@@ -345,7 +347,7 @@ def wave_step(ctx: StepContext, fp: FixedPointConfig, *, warn_threshold: float =
     else:
         raise FixedPointDivergenceError(fp.max_iter, increments[-1])
     return u_next, {"iterations": it, "increments": tuple(increments), "n1_min": n1_min,
-                    "solves": tuple(solves), "factorizations": 1}
+                    "solves": tuple(solves)}
 
 
 def heat_step(ctx: StepContext, u_new: np.ndarray, heat: HeatParams, factor_cache: dict):
@@ -385,17 +387,13 @@ def heat_step(ctx: StepContext, u_new: np.ndarray, heat: HeatParams, factor_cach
 
 
 def _project(space: FESpace, data, projection: str) -> list:
-    """Coefficient vectors of the initial data, in order.  ScalarFields are
-    projected per `projection` ("ritz" or "nodal"); Ritz projections share
-    one factorization."""
+    """Coefficient vectors of the initial data, in order.  Vectors are
+    copied; ScalarFields are projected per `projection` ("ritz" or
+    "nodal"), and the Ritz projections share one factorization."""
     out = []
     ritz = []
     for item in data:
-        if isinstance(item, FEFunction):
-            if item.space is not space:
-                raise ValueError("initial data lives on a different space")
-            out.append(item.values.copy())
-        elif isinstance(item, np.ndarray):
+        if isinstance(item, np.ndarray):
             if item.shape != (space.n_dofs,):
                 raise ValueError("initial coefficient vector has the wrong length")
             out.append(item.astype(np.float64, copy=True))
@@ -413,18 +411,17 @@ def _project(space: FESpace, data, projection: str) -> list:
 
 
 def run_simulation(space: FESpace, *, scheme: TimeScheme, variant: EquationVariant,
-                   model: TissueModel, heat: HeatParams, tau: float,
-                   n_steps: int | None = None, final_time: float | None = None,
+                   model: TissueModel, heat: HeatParams, tau: float, n_steps: int,
                    u0, u1, theta0, projection: str = "ritz",
                    sources: Callable | None = None,
                    fp: FixedPointConfig = FixedPointConfig(),
                    snapshot_indices: Sequence[int] = (),
-                   on_snapshot: Callable | None = None,
-                   warn_threshold: float = 0.1) -> SimulationResult:
-    """Integrate the coupled system from t = 0.
+                   on_snapshot: Callable | None = None) -> SimulationResult:
+    """Integrate the coupled system from t = 0 over n_steps steps of size tau
+    (step_count turns a final time into a step count).
 
-    Initial data may be ScalarFields (projected per `projection`, "ritz" or
-    "nodal"), FEFunctions, or raw coefficient vectors.  The arguments are
+    Initial data are ScalarFields (projected per `projection`, "ritz" or
+    "nodal") or coefficient vectors on the space.  The arguments are
     checked before any of them is projected.  Snapshot hooks receive
     (step_index, time, u_h, theta_h) with independent copies.
 
@@ -435,11 +432,7 @@ def run_simulation(space: FESpace, *, scheme: TimeScheme, variant: EquationVaria
     """
     if not tau > 0.0:
         raise ValueError("tau must be positive")
-    if (n_steps is None) == (final_time is None):
-        raise ValueError("specify exactly one of n_steps and final_time")
-    if n_steps is None:
-        n_steps = step_count(final_time, tau)
-    elif not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
+    if not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
         raise ValueError(f"n_steps must be a positive integer, got {n_steps!r}")
     if projection not in ("ritz", "nodal"):
         raise ValueError(f"unknown projection {projection!r} (expected 'ritz' or 'nodal')")
@@ -467,7 +460,7 @@ def run_simulation(space: FESpace, *, scheme: TimeScheme, variant: EquationVaria
         heat_cached = len(heat_factors)
         try:
             ctx = StepContext(state, scheme, variant, model, sources)
-            u_new, info = wave_step(ctx, fp, warn_threshold=warn_threshold)
+            u_new, info = wave_step(ctx, fp)
             theta_new, heat_res = heat_step(ctx, u_new, heat, heat_factors)
         except Exception as e:
             e.step_index = n + 1
@@ -484,12 +477,12 @@ def run_simulation(space: FESpace, *, scheme: TimeScheme, variant: EquationVaria
             index=n + 1,
             scheme_tag=ctx.scheme.tag,
             iterations=info["iterations"],
-            increment=info["increments"][-1],
             n1_min=info["n1_min"],
             increments=info["increments"],
             wave_solves=info["solves"],
             heat_residual=heat_res,
-            factorizations=info["factorizations"] + len(heat_factors) - heat_cached,
+            # the step's one wave factor and a new heat factor, if any
+            factorizations=1 + len(heat_factors) - heat_cached,
         ))
         max_u.append(float(np.abs(u_new).max()))
         max_theta.append(float(np.abs(theta_new).max()))
@@ -505,16 +498,16 @@ def run_simulation(space: FESpace, *, scheme: TimeScheme, variant: EquationVaria
 def write_step_reports(reports: Sequence[StepReport], path) -> None:
     """Stream step reports as CSV.
 
-    wave_residual is the relative residual of the step's last linear wave
-    solve: the last chord correction, or the first solve when one iterate
-    sufficed.  heat_residual is that of the heat solve.
+    increment is the relative increment of the step's last iterate, and
+    wave_residual the relative residual of its last linear wave solve: the
+    last chord correction, or the first solve when one iterate sufficed.
+    heat_residual is that of the heat solve.
     """
     lines = ["step,scheme,iterations,increment,n1_min,wave_residual,heat_residual"]
     for r in reports:
-        wave_res = r.wave_solves[-1] if r.wave_solves else 0.0
         lines.append(
-            f"{r.index},{r.scheme_tag},{r.iterations},{r.increment:.17g},"
-            f"{r.n1_min:.17g},{wave_res:.17g},{r.heat_residual:.17g}"
+            f"{r.index},{r.scheme_tag},{r.iterations},{r.increments[-1]:.17g},"
+            f"{r.n1_min:.17g},{r.wave_solves[-1]:.17g},{r.heat_residual:.17g}"
         )
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +28,17 @@ def sine_field():
         return np.stack([a, b], axis=-1)
 
     return ScalarField(f, g)
+
+
+def tables(space, field, degree=None):
+    """(values, gradients) of an analytic field on a quadrature table."""
+    pts = space.values(degree).points
+    return field.value(pts), field.gradient(pts)
+
+
+X1_WEIGHT = ScalarField(
+    lambda x, t=0.0: x[..., 0],
+    lambda x, t=0.0: np.stack([np.ones_like(x[..., 0]), np.zeros_like(x[..., 0])], axis=-1))
 
 
 # exact P1 matrices on the unit right triangle (hand-derived)
@@ -108,7 +120,7 @@ class TestMass:
     def test_constant_weight_linearity(self):
         sp = build_space(unit_square_mesh(3), 2)
         m1 = assemble_mass(sp).to_dense()
-        mc = assemble_mass(sp, constant_field(2.5)).to_dense()
+        mc = assemble_mass(sp, tables(sp, constant_field(2.5))[0]).to_dense()
         assert np.abs(mc - 2.5 * m1).max() <= 1e-13
 
     def test_total_mass_is_area(self):
@@ -159,36 +171,26 @@ class TestWeightedStiffness:
         for degree in (1, 2, 3):
             sp = build_space(unit_square_mesh(3), degree)
             k = assemble_stiffness(sp).to_dense()
-            kw = assemble_weighted_stiffness(sp, constant_field(1.0)).to_dense()
+            kw = assemble_weighted_stiffness(sp, tables(sp, constant_field(1.0))).to_dense()
             assert np.abs(kw - k).max() <= 1e-13
 
     def test_constant_weight_linearity(self):
         sp = build_space(unit_square_mesh(3), 1)
         k = assemble_stiffness(sp).to_dense()
-        kw = assemble_weighted_stiffness(sp, constant_field(3.0)).to_dense()
+        kw = assemble_weighted_stiffness(sp, tables(sp, constant_field(3.0))).to_dense()
         assert np.abs(kw - 3.0 * k).max() <= 1e-12
 
     def test_x1_weight_exact_oracle(self):
         sp = build_space(reference_triangle(), 1)
-        w = ScalarField(
-            lambda x, t=0.0: x[..., 0],
-            lambda x, t=0.0: np.stack(
-                [np.ones_like(x[..., 0]), np.zeros_like(x[..., 0])], axis=-1),
-        )
-        a = assemble_weighted_stiffness(sp, w).to_dense()
+        a = assemble_weighted_stiffness(sp, tables(sp, X1_WEIGHT)).to_dense()
         assert np.abs(a - P1_WEIGHTED).max() <= 1e-12
         assert np.abs(a.sum(axis=1)).max() <= 1e-14  # constants still in kernel
 
     def test_refined_quadrature_oracle(self):
         # default assembly degree vs an elevated degree-10 rule
         sp = build_space(reference_triangle(), 1)
-        w = ScalarField(
-            lambda x, t=0.0: x[..., 0],
-            lambda x, t=0.0: np.stack(
-                [np.ones_like(x[..., 0]), np.zeros_like(x[..., 0])], axis=-1),
-        )
-        a = assemble_weighted_stiffness(sp, w).to_dense()
-        a10 = assemble_weighted_stiffness(sp, w, quad_degree=10).to_dense()
+        a = assemble_weighted_stiffness(sp, tables(sp, X1_WEIGHT)).to_dense()
+        a10 = assemble_weighted_stiffness(sp, tables(sp, X1_WEIGHT, 10), quad_degree=10).to_dense()
         assert np.abs(a - a10).max() <= 1e-12
 
     def test_generally_nonsymmetric(self):
@@ -198,7 +200,7 @@ class TestWeightedStiffness:
             lambda x, t=0.0: np.stack(
                 [np.ones_like(x[..., 0]), np.zeros_like(x[..., 0])], axis=-1),
         )
-        a = assemble_weighted_stiffness(sp, w).to_dense()
+        a = assemble_weighted_stiffness(sp, tables(sp, w)).to_dense()
         assert np.abs(a - a.T).max() > 1e-10
 
     # unit_square_mesh(4) has 32 cells: one block, or blocks of 7 with a
@@ -222,30 +224,56 @@ class TestWeightedStiffness:
         assert np.abs(a - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
+# A P2 space on 8 cells, and the shape of its assembly quadrature table.
+BOUNDARY_SPACE = build_space(unit_square_mesh(2), 2)
+NT, NQ = BOUNDARY_SPACE.values().points.shape[:2]
+
+
+@pytest.mark.parametrize("assemble,given,expected", [
+    pytest.param(assemble_weighted_stiffness, (np.ones((NT, 1)), np.zeros((NT, NQ, 2))),
+                 (NT, NQ), id="stiffness-values"),
+    pytest.param(assemble_weighted_stiffness, (np.ones((NT, NQ)), np.zeros((NT, 1, 2))),
+                 (NT, NQ, 2), id="stiffness-gradients"),
+    pytest.param(assemble_weighted_stiffness, np.ones((NT, NQ)), (NT, NQ, 2),
+                 id="stiffness-bare-array"),
+    pytest.param(assemble_weighted_stiffness, constant_field(1.0), (NT, NQ, 2),
+                 id="stiffness-field"),
+    pytest.param(assemble_mass, constant_field(1.0), (NT, NQ), id="mass-field"),
+    pytest.param(assemble_mass, np.ones((NT, 1)), (NT, NQ), id="mass-table"),
+    pytest.param(assemble_load, constant_field(1.0), (NT, NQ), id="load-field"),
+    pytest.param(assemble_load, np.ones(NT * NQ), (NT, NQ), id="load-flat"),
+])
+def test_assemblers_take_only_quadrature_tables(assemble, given, expected):
+    # Any other form fails at the boundary, naming the shape it expects.
+    with pytest.raises(ValueError, match=re.escape(str(expected))):
+        assemble(BOUNDARY_SPACE, given)
+
+
 class TestLoad:
     def test_zero_source(self):
         sp = build_space(unit_square_mesh(3), 2)
-        b = assemble_load(sp, constant_field(0.0), 0.0)
+        b = assemble_load(sp, tables(sp, constant_field(0.0))[0])
         assert np.array_equal(b, np.zeros(sp.n_dofs))
 
     def test_unit_source_is_mass_row_sums(self):
         sp = build_space(unit_square_mesh(3), 2)
-        b = assemble_load(sp, constant_field(1.0), 0.0)
+        b = assemble_load(sp, tables(sp, constant_field(1.0))[0])
         rows = np.asarray(assemble_mass(sp).to_dense().sum(axis=1)).ravel()
         assert b == pytest.approx(rows, abs=1e-14)
 
     def test_against_refined_quadrature(self):
         sp = build_space(unit_square_mesh(16), 1)
         f = sine_field()
-        b = assemble_load(sp, f, 0.0)
-        b12 = assemble_load(sp, f, 0.0, quad_degree=12)
+        degree = sp.error_degree
+        b = assemble_load(sp, tables(sp, f, degree)[0], quad_degree=degree)
+        b12 = assemble_load(sp, tables(sp, f, 12)[0], quad_degree=12)
         denom = np.linalg.norm(b12)
         assert np.linalg.norm(b - b12) / denom <= 1e-10
 
     def test_source_loads_tabulate_once_and_match_fields(self):
         # The evaluator runs once, at the first call, on the error-degree
         # points; each time only rescales its table, and the loads equal
-        # those of the same source as an analytic field.
+        # those of the same source tabulated afresh on those points.
         sp = build_space(unit_square_mesh(3), 2)
         f = sine_field()
         tabulated = []
@@ -257,11 +285,12 @@ class TestLoad:
 
         loads = fem.source_loads(sp, evaluator)
         assert tabulated == []  # not before the run's first step
-        field = ScalarField(lambda x, t: f.value(x) * (1.0 + t))
+        degree = sp.error_degree
         for t in (0.0, 0.5, 0.25):
             wave, heat = loads(t)
             assert wave is None
-            assert np.array_equal(heat, assemble_load(sp, field, t))
+            table = f.value(sp.values(degree).points) * (1.0 + t)
+            assert np.array_equal(heat, assemble_load(sp, table, quad_degree=degree))
         assert tabulated == [(sp.values(sp.error_degree).points[..., 0].size, 2)]
 
 

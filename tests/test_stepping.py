@@ -30,6 +30,7 @@ from thermofem.stepping import (
     delta1,
     delta2,
     heat_step,
+    step_count,
     wave_step,
     write_step_reports,
 )
@@ -93,16 +94,34 @@ def picard_wave_step(ctx, max_iter=60):
     raise AssertionError("reference Picard loop did not settle")
 
 
-def zero_state(space, tau, depth=2):
+def zero_state(space, tau, levels=2):
+    # A run has two wave levels at its first step, three from then on.
     z = np.zeros(space.n_dofs)
-    return SimulationState(space=space, tau=tau, step=depth - 2,
-                           u=[z.copy() for _ in range(depth)], theta=[z.copy()])
+    return SimulationState(space=space, tau=tau, step=levels - 2,
+                           u=[z.copy() for _ in range(levels)], theta=[z.copy()])
 
 
 class TestSchemes:
     def test_weights(self):
-        assert (EULER.lead1, EULER.lead2, EULER.depth) == (1.0, 1.0, 2)
-        assert (BDF2.lead1, BDF2.lead2, BDF2.depth) == (1.5, 2.0, 3)
+        assert (EULER.lead1, EULER.lead2, EULER.d1, EULER.d2) == (1.0, 1.0, (1.0,), (2.0, -1.0))
+        assert (BDF2.lead1, BDF2.lead2, BDF2.d1, BDF2.d2) == (1.5, 2.0, (2.0, -0.5),
+                                                              (5.0, -4.0, 1.0))
+
+    def test_combinations_equal_written_out_expressions(self, rng):
+        # The weighted sums reproduce the schemes' literal history
+        # combinations bit for bit, signed zeros included.
+        h = [rng.standard_normal(64) for _ in range(3)]
+        for level in h:
+            level[:16] = rng.choice([0.0, -0.0], size=16)
+        pairs = [
+            (delta1(EULER, h), np.asarray(h[0], dtype=np.float64)),
+            (delta2(EULER, h), 2.0 * h[0] - h[1]),
+            (delta1(BDF2, h), 2.0 * h[0] - 0.5 * h[1]),
+            (delta2(BDF2, h), 5.0 * h[0] - 4.0 * h[1] + h[2]),
+        ]
+        for got, expected in pairs:
+            assert np.array_equal(got, expected)
+            assert np.array_equal(np.signbit(got), np.signbit(expected))
 
     def test_lookup(self):
         assert scheme_by_name("euler") is EULER
@@ -128,15 +147,15 @@ class TestDifferenceExactness:
     first differences on the schemes' design order, second differences on
     quadratics for both schemes."""
 
-    def sample(self, poly, n, tau, depth, rng):
+    def sample(self, poly, n, tau, count, rng):
         # history levels a^n, a^{n-1}, ... as vectors with random spatial profile
         profile = rng.normal(size=5)
-        levels = [np.polyval(poly, k * tau) * profile for k in range(n, n - depth, -1)]
+        levels = [np.polyval(poly, k * tau) * profile for k in range(n, n - count, -1)]
         return profile, levels
 
     @pytest.mark.parametrize("scheme", [EULER, BDF2], ids=["euler", "bdf2"])
     def test_constants(self, scheme, rng):
-        profile, levels = self.sample([4.2], 5, 0.1, scheme.depth, rng)
+        profile, levels = self.sample([4.2], 5, 0.1, len(scheme.d2), rng)
         new = 4.2 * profile
         d1 = (scheme.lead1 * new - delta1(scheme, levels)) / 0.1
         d2 = (scheme.lead2 * new - delta2(scheme, levels)) / 0.01
@@ -147,7 +166,7 @@ class TestDifferenceExactness:
     def test_first_difference_exact_on_linears(self, scheme, rng):
         tau, n = 0.125, 7
         poly = [3.0, -1.5]  # 3t - 1.5
-        profile, levels = self.sample(poly, n, tau, scheme.depth, rng)
+        profile, levels = self.sample(poly, n, tau, len(scheme.d2), rng)
         new = np.polyval(poly, (n + 1) * tau) * profile
         d1 = (scheme.lead1 * new - delta1(scheme, levels)) / tau
         np.testing.assert_allclose(d1, 3.0 * profile, rtol=1e-12, atol=1e-13)
@@ -155,7 +174,7 @@ class TestDifferenceExactness:
     def test_bdf2_first_difference_exact_on_quadratics(self, rng):
         tau, n = 0.125, 4
         poly = [2.0, -1.0, 0.5]  # 2t^2 - t + 0.5
-        profile, levels = self.sample(poly, n, tau, BDF2.depth, rng)
+        profile, levels = self.sample(poly, n, tau, len(BDF2.d2), rng)
         t_new = (n + 1) * tau
         new = np.polyval(poly, t_new) * profile
         d1 = (BDF2.lead1 * new - delta1(BDF2, levels)) / tau
@@ -165,7 +184,7 @@ class TestDifferenceExactness:
     def test_second_difference_exact_on_quadratics(self, scheme, rng):
         tau, n = 0.25, 6
         poly = [1.75, 0.3, -2.0]
-        profile, levels = self.sample(poly, n, tau, scheme.depth, rng)
+        profile, levels = self.sample(poly, n, tau, len(scheme.d2), rng)
         new = np.polyval(poly, (n + 1) * tau) * profile
         d2 = (scheme.lead2 * new - delta2(scheme, levels)) / tau**2
         np.testing.assert_allclose(d2, 2 * 1.75 * profile, rtol=1e-11)
@@ -245,7 +264,6 @@ class TestWaveStep:
         calls = count_factorizations(monkeypatch)
         u_new, info = wave_step(ctx, FixedPointConfig(tol=1e-14))
         assert calls == [space.interior_dofs.size]
-        assert info["factorizations"] == 1
         assert info["iterations"] > 3
         assert len(info["solves"]) == info["iterations"]
 
@@ -290,17 +308,18 @@ class TestWaveStep:
             wave_step(StepContext(state, EULER, WESTERVELT, model), FixedPointConfig())
 
     def test_near_degenerate_factor_warns(self):
-        # Mild data with a raised threshold: the monitor fires without the
-        # factor actually approaching zero.
+        # k_W = 1 and u = -0.46 at rest: 1 + 2 k_W u starts at 0.08, below
+        # the warning level 0.1, yet stays positive through the step.
         model = TissueModel(speed_coeffs=(1.0,), ambient=0.0, density=1.0,
                             b_over_2a=0.0)
         space = small_space(4)
         state = zero_state(space, tau=0.01)
-        state.u[0][space.interior_dofs] = -0.1
+        state.u[0][space.interior_dofs] = -0.46
         state.u[1][:] = state.u[0]  # zero discrete velocity
         with pytest.warns(DegeneracyWarning):
-            wave_step(StepContext(state, EULER, WESTERVELT, model), FixedPointConfig(),
-                      warn_threshold=0.9)
+            _, info = wave_step(StepContext(state, EULER, WESTERVELT, model),
+                                FixedPointConfig())
+        assert 0.0 < info["n1_min"] < 0.1
 
     def test_divergence_reports_last_increment(self):
         # One iteration cannot meet the tolerance for genuinely nonlinear data.
@@ -339,9 +358,10 @@ class TestStepContext:
         # tau = 1e-3 makes tau^2 q and tau beta comparable for liver tissue,
         # so both weights and their theta gradients show in the sums.
         space = small_space(6, degree)
-        state = zero_state(space, tau=1e-3, depth=scheme.depth)
-        state.u = [interior_vector(space, rng, scale=0.1) for _ in range(scheme.depth)]
-        state.theta = [interior_vector(space, rng, scale=5.0) for _ in range(scheme.depth - 1)]
+        levels = len(scheme.d2)
+        state = zero_state(space, tau=1e-3, levels=levels)
+        state.u = [interior_vector(space, rng, scale=0.1) for _ in range(levels)]
+        state.theta = [interior_vector(space, rng, scale=5.0) for _ in range(levels - 1)]
         return state, StepContext(state, scheme, variant, LIVER_QUADRATIC)
 
     @pytest.mark.parametrize("scheme", [EULER, BDF2], ids=["euler", "bdf2"])
@@ -438,10 +458,12 @@ class TestHeatStep:
         state.u[0] = interior_vector(space, rng, scale=0.3)
         state.theta = [interior_vector(space, rng, scale=0.5)]
         u_new = interior_vector(space, rng, scale=0.3)
-        g = ScalarField(lambda x, t: (1.0 + x[..., 0]) * (1.0 + t))
+        x1 = space.values().points[..., 0]
 
-        ctx = StepContext(state, EULER, WESTERVELT, LIVER_QUADRATIC,
-                          lambda t: (None, fem.assemble_load(space, g, t)))
+        def g_load(t):
+            return fem.assemble_load(space, (1.0 + x1) * (1.0 + t))
+
+        ctx = StepContext(state, EULER, WESTERVELT, LIVER_QUADRATIC, lambda t: (None, g_load(t)))
         theta_new, _ = heat_step(ctx, u_new, heat, {})
 
         from thermofem import absorption_weights
@@ -450,7 +472,7 @@ class TestHeatStep:
         ut_new = (u_new - state.u[0]) / tau
         a1, a2 = absorption_weights(WESTERVELT, LIVER_QUADRATIC, theta_cell)
         q_cell = (a1 * fev.fe_values(u_new) ** 2 + a2 * fev.fe_values(ut_new) ** 2)
-        load = fem.assemble_load(space, q_cell) + fem.assemble_load(space, g, tau)
+        load = fem.assemble_load(space, q_cell) + g_load(tau)
         mass = space.mass_matrix()
         rhs = mass @ state.theta[0] + tau * load
         h_dense = ((1.0 + tau * heat.nu) * mass.to_dense()
@@ -571,13 +593,16 @@ class TestRunSimulation:
             assert np.any(a.u[0] != 0.0) and np.any(a.theta[0] != 0.0)
 
     def test_final_time_must_divide(self):
+        # A run's length is a step count; step_count derives it from a
+        # final time and rejects one that tau does not divide.
+        with pytest.raises(ValueError, match="multiple"):
+            step_count(1.0, 0.3)
+        assert step_count(1.0, 0.25) == 4
         space = small_space(2)
         z = np.zeros(space.n_dofs)
-        kwargs = dict(scheme=EULER, variant=LINEAR_WAVE, model=CONSTANT_MEDIUM,
-                      heat=HeatParams(1.0, 0.0), u0=z, u1=z, theta0=z)
-        with pytest.raises(ValueError, match="multiple"):
-            run_simulation(space, tau=0.3, final_time=1.0, **kwargs)
-        result = run_simulation(space, tau=0.25, final_time=1.0, **kwargs)
+        result = run_simulation(space, scheme=EULER, variant=LINEAR_WAVE, model=CONSTANT_MEDIUM,
+                                heat=HeatParams(1.0, 0.0), u0=z, u1=z, theta0=z, tau=0.25,
+                                n_steps=step_count(1.0, 0.25))
         assert result.state.step == 4
         assert result.state.time == pytest.approx(1.0)
 
@@ -589,24 +614,15 @@ class TestRunSimulation:
         with pytest.raises(ValueError):
             run_simulation(space, tau=-0.1, n_steps=1, **kwargs)
         with pytest.raises(ValueError):
-            run_simulation(space, tau=0.1, **kwargs)  # neither
-        with pytest.raises(ValueError):
-            run_simulation(space, tau=0.1, n_steps=1, final_time=0.1, **kwargs)
-        with pytest.raises(ValueError):
             run_simulation(space, tau=0.1, n_steps=1, snapshot_indices=[5], **kwargs)
 
     def test_initial_data_validation(self):
         space = small_space(2)
-        other = small_space(4)
         z = np.zeros(space.n_dofs)
         kwargs = dict(scheme=EULER, variant=LINEAR_WAVE, model=CONSTANT_MEDIUM,
                       heat=HeatParams(1.0, 0.0), tau=0.1, n_steps=1)
         with pytest.raises(ValueError, match="length"):
             run_simulation(space, u0=np.zeros(3), u1=z, theta0=z, **kwargs)
-        with pytest.raises(ValueError, match="different space"):
-            from thermofem import FEFunction
-            run_simulation(space, u0=FEFunction(other, np.zeros(other.n_dofs)),
-                           u1=z, theta0=z, **kwargs)
         with pytest.raises(TypeError):
             run_simulation(space, u0="not a field", u1=z, theta0=z, **kwargs)
         with pytest.raises(ValueError, match="projection"):
