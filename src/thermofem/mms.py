@@ -238,7 +238,13 @@ class ConvergenceConfig:
             raise ValueError("mesh subdivision counts must be positive")
         if len(set(int(n) for n in self.meshes)) != len(self.meshes):
             raise ValueError(f"mesh subdivision counts must be distinct, got {list(self.meshes)}")
-        step_count(self.final_time, self.tau)
+        n_steps = step_count(self.final_time, self.tau)
+        # total_error takes the scheme's first difference of the last state,
+        # which needs len(d1) levels before the newest.
+        levels = len(scheme_by_name(self.scheme).d1)
+        if n_steps < levels:
+            raise ValueError(f"a {self.scheme} study needs at least {levels} steps for its "
+                             f"error norm, got {n_steps} (final_time / tau)")
         FixedPointConfig(tol=self.fp_tol, max_iter=self.fp_max_iter)
 
 

@@ -4,16 +4,22 @@ One time step advances the wave field first and the temperature second.
 The wave step treats the quasilinear factor (1 + 2k u or 1 + 2k u_t) and
 the remaining nonlinearity by fixed-point iteration, freezing the
 temperature-dependent coefficients q(theta^n) and beta(theta^n) over the
-step.  The iteration is a chord method: the wave system at the previous
-level is factored once per step, its solve is the first iterate, and each
-later iterate corrects the current one by that factor applied to the
-residual of the system at the iterate.  Within a step the system changes
-only through the quasilinear factor, which stays close to its start value,
-so the corrections contract almost as fast as re-solving with a fresh
-factor per iterate would.  The heat step is semi-implicit: diffusion and
+step.  The iteration is a chord method: each iterate corrects the current
+one by a factor of the wave system applied to the residual of the system
+at the iterate.  A run keeps that factor across its steps (a ChordBase,
+one per leading weight lead2), because the strongly damped wave operator
+changes little from one step to the next.  A step whose frozen operator
+data (the n1 table at the previous level and stiff_frozen) equal bit for
+bit those the kept factor was built from uses it as its own: the solve
+with b(u^n) is the first iterate, as with a fresh factor.  Otherwise the
+kept factor is stale, and the step starts with a correction at u^n; once
+an iterate contracts by less than _CHORD_REFRESH, the stale factor is
+dropped and the system at the current iterate is factored instead.  A
+step with no kept factor for its lead2 factors the system at the
+previous level.  The heat step is semi-implicit: diffusion and
 perfusion are implicit, the absorbed energy is evaluated from the fresh
 wave iterate and the previous temperature, so it costs a single symmetric
-positive definite solve, with a factor kept for the whole run.
+positive definite solve, with one factor kept per leading weight lead1.
 
 Two schemes share one code path: a scheme is its leading weights and the
 weights of its history combinations, newest level first (its tag only
@@ -26,7 +32,8 @@ u^{-1} = u^0 - tau * u^1.
 Each step first builds a StepContext holding everything frozen over the
 step (coefficient tables at theta^n, history combinations, and the wave
 and heat source loads at t_{n+1}); the wave and heat steps read their
-data from it.
+data from it.  run_simulation owns what outlives a step: the wave
+ChordBase, the heat factors and the per-step counters.
 """
 from __future__ import annotations
 
@@ -57,6 +64,7 @@ __all__ = [
     "SimulationState",
     "SimulationResult",
     "StepContext",
+    "ChordBase",
     "wave_step",
     "heat_step",
     "run_simulation",
@@ -82,6 +90,10 @@ class DegeneracyWarning(UserWarning):
 
 # The wave step warns once its quasilinear factor dips below this value.
 _N1_WARN = 0.1
+# A stale chord base is refactored at the current iterate once an iterate's
+# increment exceeds this fraction of the one before.  Below it, stopping at
+# an increment under the tolerance leaves an error under a third of it.
+_CHORD_REFRESH = 0.25
 
 
 @dataclass(frozen=True)
@@ -165,7 +177,7 @@ class StepReport:
     increments: tuple  # relative increment of each iterate
     wave_solves: tuple  # relative residual of each linear wave solve
     heat_residual: float  # relative residual of the heat solve
-    factorizations: int  # LU factorizations made in the step, wave and heat
+    factorizations: int  # LU factorizations made for the step, wave and heat
 
 
 @dataclass
@@ -272,34 +284,95 @@ class StepContext:
         return n1, n2
 
 
-def wave_step(ctx: StepContext, fp: FixedPointConfig):
+class ChordBase:
+    """The wave factor a run keeps across its steps, with what it was built
+    from: the leading weight lead2, the n1 table and the stiff_frozen data.
+
+    When wave_step factors a new interior system, it records the system in
+    `matrix` and keeps no factor; place() factors that matrix again once the
+    step's data are released.  Made among the step's temporaries, the
+    long-lived factor would pin the heap they leave behind, and the run's
+    peak memory would grow with it."""
+
+    __slots__ = ("lead2", "n1", "stiff", "matrix", "lu")
+
+    def __init__(self):
+        self.drop()
+
+    def drop(self) -> None:
+        self.lead2 = self.n1 = self.stiff = self.matrix = self.lu = None
+
+    def record(self, lead2: float, n1: np.ndarray, stiff: np.ndarray, matrix) -> None:
+        self.drop()
+        self.lead2, self.n1, self.stiff, self.matrix = lead2, n1, stiff, matrix
+
+    def place(self) -> int:
+        """Factor the matrix recorded in the last step; returns the number
+        of factorizations made (0 or 1)."""
+        if self.matrix is None:
+            return 0
+        self.lu = linalg.factorize(self.matrix)
+        self.matrix = None
+        return 1
+
+
+def wave_step(ctx: StepContext, fp: FixedPointConfig, base: ChordBase | None = None):
     """Advance the wave field one step; returns (u_new, step info dict).
 
     The fixed point starts from the previous level u^n and runs as a chord
-    iteration.  The interior system A(u^n) = lead2 M(n1(u^n)) + stiff_frozen
-    (a sum of data arrays, see FESpace.interior_matrix) is factored once;
-    its solve with b(u^n) is the first iterate, and each later iterate adds
-    the correction A(u^n)^{-1} (b(u) - A(u) u) computed with the same
-    factor.  The iteration stops when the relative L2 increment between
-    iterates drops below fp.tol (absolute when the new iterate is zero), or
-    as soon as the nonlinearity tables stop changing while n1 equals the
-    table the factor was built from, in which case the next correction
-    would be rounding alone.  A DegeneracyWarning is issued while the
-    factor's minimum lies below 0.1, and a DegeneracyError raised once it
-    is no longer positive.
+    iteration: each iterate after the first adds the correction
+    B^{-1} (b(u) - A(u) u), where A(u) = lead2 M(n1(u)) + stiff_frozen is
+    the interior system at the iterate (a sum of data arrays, see
+    FESpace.interior_matrix) and B a factor of it at some iterate.
+
+    `base` is the run's kept factor, if any, and its leading weight must
+    match the step's to be used.  Built from the n1 table of u^n and the
+    stiff_frozen data of this step, bit for bit, it is exact: the step
+    solves A(u^n) u = b(u^n) with it for the first iterate.  With no usable
+    base, the step factors A(u^n) and does the same, and records the new
+    system in `base` (see ChordBase).  Otherwise the base is stale: the
+    first iterate is already a correction, and when an increment exceeds
+    _CHORD_REFRESH times the one before, the stale factor is dropped and
+    A at the current iterate is factored, recorded and used from then on.
+
+    The iteration stops when the relative L2 increment between iterates
+    drops below fp.tol (absolute when the new iterate is zero), or as soon
+    as the nonlinearity tables stop changing while n1 equals the table of
+    a factor made for this step, in which case the next correction would
+    be rounding alone.  A DegeneracyWarning is issued while the factor's
+    minimum lies below 0.1, and a DegeneracyError raised once it is no
+    longer positive.  A non-finite increment or solve residual raises
+    FloatingPointError at once, naming the step and the iterate.  The info
+    dict counts the factorizations the step made.
     """
     space = ctx.space
     tau = ctx.tau
     idx = ctx.interior
     lead2 = ctx.scheme.lead2
+    stiff = ctx.stiff_frozen.data
+    if base is None:
+        base = ChordBase()
+    elif base.lead2 != lead2:
+        base.drop()
 
     u_i = ctx.u_prev.copy()
     n1, n2 = ctx.nonlinearity(u_i)
-    n1_factor = n1
+    lu = base.lu
+    stale = lu is not None and not (np.array_equal(n1, base.n1)
+                                    and np.array_equal(stiff, base.stiff))
+    n1_factor = None if stale else n1  # the n1 table of a factor exact for this step
     n1_min = float(n1.min())
     increments = []
     solves = []
+    factorizations = 0
     base_rhs = tau * ctx.sb_d1 + (tau * tau) * ctx.f_load
+
+    def factor(m_n1, n1_table):
+        nonlocal factorizations
+        matrix = space.interior_matrix(lead2 * m_n1.data + stiff)
+        base.record(lead2, n1_table, stiff, matrix)
+        factorizations += 1
+        return linalg.factorize(matrix)
 
     for it in range(1, fp.max_iter + 1):
         if n1_min <= 0.0:
@@ -312,10 +385,11 @@ def wave_step(ctx: StepContext, fp: FixedPointConfig):
                 DegeneracyWarning,
                 stacklevel=2,
             )
-        if it == 1:
+        if it == 1 and not stale:
             m_n1 = fem.assemble_mass(space, n1)
             rhs = m_n1 @ ctx.d2u + base_rhs - (tau * tau) * fem.assemble_load(space, n2)
-            lu = linalg.factorize(space.interior_matrix(lead2 * m_n1.data + ctx.stiff_frozen.data))
+            if lu is None:
+                lu = factor(m_n1, n1)
             x, rel_res = lu.solve_with_report(rhs[idx])
             u_next = np.zeros(space.n_dofs)
             u_next[idx] = x
@@ -333,21 +407,32 @@ def wave_step(ctx: StepContext, fp: FixedPointConfig):
         inc = space.l2_norm(u_next - u_i)
         rel = inc / norm_new if norm_new > 0.0 else inc
         increments.append(rel)
+        if not (math.isfinite(rel) and math.isfinite(rel_res)):
+            raise FloatingPointError(
+                f"non-finite wave iterate {it} at step {ctx.step_index} "
+                f"(relative increment {rel:.3e}, solve residual {rel_res:.3e})")
         if rel < fp.tol:
             break
         n1_next, n2_next = ctx.nonlinearity(u_next)
         n1_min = min(n1_min, float(n1_next.min()))
-        if (np.array_equal(n1, n1_factor) and np.array_equal(n1_next, n1_factor)
-                and np.array_equal(n2_next, n2)):
+        if (n1_factor is not None and np.array_equal(n1, n1_factor)
+                and np.array_equal(n1_next, n1_factor) and np.array_equal(n2_next, n2)):
             # The factored operator was exact for the last update and still
             # is, and the remainder did not move: the next correction is the
             # solve's rounding, so the fixed point is reached.
             break
+        if stale and it > 1 and rel > _CHORD_REFRESH * increments[-2]:
+            # The kept factor stopped contracting: free it, then factor the
+            # system at the current iterate.
+            lu = None
+            lu = factor(fem.assemble_mass(space, n1_next), n1_next)
+            n1_factor = n1_next
+            stale = False
         u_i, n1, n2 = u_next, n1_next, n2_next
     else:
         raise FixedPointDivergenceError(fp.max_iter, increments[-1])
     return u_next, {"iterations": it, "increments": tuple(increments), "n1_min": n1_min,
-                    "solves": tuple(solves)}
+                    "solves": tuple(solves), "factorizations": factorizations}
 
 
 def heat_step(ctx: StepContext, u_new: np.ndarray, heat: HeatParams, factor_cache: dict):
@@ -357,7 +442,8 @@ def heat_step(ctx: StepContext, u_new: np.ndarray, heat: HeatParams, factor_cach
     The absorbed energy is evaluated from the new wave level, its discrete
     time derivative, and the previous temperature; the source is ctx.heat_load.
     The factorized heat matrix is kept in factor_cache, keyed by the scheme's
-    leading weight.
+    leading weight; the factors of other weights are evicted first (a BDF2
+    run's Euler factor serves its first step only).
     """
     space = ctx.space
     tau = ctx.tau
@@ -375,6 +461,8 @@ def heat_step(ctx: StepContext, u_new: np.ndarray, heat: HeatParams, factor_cach
     rhs = ctx.mass @ ctx.d1theta + tau * load
 
     key = eff.lead1
+    for other in [k for k in factor_cache if k != key]:
+        del factor_cache[other]
     if key not in factor_cache:
         h_data = ((eff.lead1 + tau * heat.nu) * ctx.mass.data
                   + (tau * heat.kappa) * space.stiffness_matrix().data)
@@ -454,13 +542,14 @@ def run_simulation(space: FESpace, *, scheme: TimeScheme, variant: EquationVaria
     max_u = [float(np.abs(u0_vec).max())]
     max_theta = [float(np.abs(theta0_vec).max())]
     emit(0)
+    wave_base = ChordBase()
     heat_factors: dict = {}
 
     for n in range(n_steps):
-        heat_cached = len(heat_factors)
         try:
             ctx = StepContext(state, scheme, variant, model, sources)
-            u_new, info = wave_step(ctx, fp)
+            u_new, info = wave_step(ctx, fp, wave_base)
+            heat_new = ctx.scheme.lead1 not in heat_factors
             theta_new, heat_res = heat_step(ctx, u_new, heat, heat_factors)
         except Exception as e:
             e.step_index = n + 1
@@ -472,24 +561,30 @@ def run_simulation(space: FESpace, *, scheme: TimeScheme, variant: EquationVaria
         state.theta = [theta_new] + state.theta[:2]
         state.step = n + 1
         state.time = (n + 1) * tau
+        step_scheme = ctx.scheme
+        # The next context is built from the state alone; releasing this
+        # one first keeps two steps' tables and matrices from coexisting,
+        # and frees the heap a new kept wave factor is placed on.
+        del ctx
+        if n + 1 < n_steps and scheme.lead2 == step_scheme.lead2:
+            placed = wave_base.place()
+        else:  # no later step uses this factor
+            wave_base.drop()
+            placed = 0
 
         reports.append(StepReport(
             index=n + 1,
-            scheme_tag=ctx.scheme.tag,
+            scheme_tag=step_scheme.tag,
             iterations=info["iterations"],
             n1_min=info["n1_min"],
             increments=info["increments"],
             wave_solves=info["solves"],
             heat_residual=heat_res,
-            # the step's one wave factor and a new heat factor, if any
-            factorizations=1 + len(heat_factors) - heat_cached,
+            factorizations=info["factorizations"] + heat_new + placed,
         ))
         max_u.append(float(np.abs(u_new).max()))
         max_theta.append(float(np.abs(theta_new).max()))
         emit(n + 1)
-        # The next context is built from the state alone; releasing this
-        # one first keeps two steps' tables and matrices from coexisting.
-        del ctx
 
     return SimulationResult(state=state, reports=reports,
                             max_u=np.asarray(max_u), max_theta=np.asarray(max_theta))
@@ -501,13 +596,16 @@ def write_step_reports(reports: Sequence[StepReport], path) -> None:
     increment is the relative increment of the step's last iterate, and
     wave_residual the relative residual of its last linear wave solve: the
     last chord correction, or the first solve when one iterate sufficed.
-    heat_residual is that of the heat solve.
+    heat_residual is that of the heat solve, and factorizations the number
+    of LU factorizations made for the step, wave and heat.
     """
-    lines = ["step,scheme,iterations,increment,n1_min,wave_residual,heat_residual"]
+    lines = ["step,scheme,iterations,increment,n1_min,wave_residual,heat_residual,"
+             "factorizations"]
     for r in reports:
         lines.append(
             f"{r.index},{r.scheme_tag},{r.iterations},{r.increments[-1]:.17g},"
-            f"{r.n1_min:.17g},{r.wave_solves[-1]:.17g},{r.heat_residual:.17g}"
+            f"{r.n1_min:.17g},{r.wave_solves[-1]:.17g},{r.heat_residual:.17g},"
+            f"{r.factorizations}"
         )
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

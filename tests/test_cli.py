@@ -104,6 +104,16 @@ class TestConfigParsing:
             assert main(["scenario", "--config", cfg, "--dry-run"]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_one_step_bdf2_study_rejected(self, tmp_path, capsys):
+        # A one-step run has a single theta history level, and the BDF2
+        # error norm needs two: a config error, not a failure after compute.
+        cfg = write_config(tmp_path, dict(TINY_MMS, scheme="bdf2", tau=0.25, final_time=0.25))
+        assert main(["mms", "--config", cfg, "--dry-run"]) == 2
+        assert main(["mms", "--config", cfg, "--output", str(tmp_path)]) == 2
+        assert "at least 2 steps" in capsys.readouterr().err
+        cfg = write_config(tmp_path, dict(TINY_MMS, tau=0.25, final_time=0.25))
+        assert main(["mms", "--config", cfg, "--dry-run"]) == 0
+
     def test_booleans_are_not_numbers(self):
         with pytest.raises(ConfigError, match="degree"):
             mms_config_from_dict(dict(TINY_MMS, degree=True))

@@ -23,10 +23,11 @@ from thermofem import (
     scheme_by_name,
     unit_square_mesh,
 )
-from thermofem import fem, linalg
+from thermofem import FixedPointDivergenceError, fem, linalg, stepping
 from thermofem.coefficients import SpeedTable
 from thermofem.mms import ManufacturedPair
 from thermofem.stepping import (
+    ChordBase,
     delta1,
     delta2,
     heat_step,
@@ -92,6 +93,22 @@ def picard_wave_step(ctx, max_iter=60):
             return u_new
         u = u_new
     raise AssertionError("reference Picard loop did not settle")
+
+
+def fresh_factor_run(space, scheme, variant, model, heat, tau, n_steps, u0, u1, theta0):
+    """Reference run from coefficient vectors that factors the wave system
+    afresh in every step: wave_step without a kept base."""
+    state = SimulationState(space=space, tau=tau, u=[u0.copy(), u0 - tau * u1],
+                            theta=[theta0.copy()])
+    cache: dict = {}
+    for n in range(n_steps):
+        ctx = StepContext(state, scheme, variant, model)
+        u_new, _ = wave_step(ctx, FixedPointConfig())
+        theta_new, _ = heat_step(ctx, u_new, heat, cache)
+        state.u = [u_new] + state.u[:2]
+        state.theta = [theta_new] + state.theta[:2]
+        state.step, state.time = n + 1, (n + 1) * tau
+    return state
 
 
 def zero_state(space, tau, levels=2):
@@ -234,23 +251,35 @@ class TestWaveStep:
     @pytest.mark.parametrize("data", ["zero", "linear"])
     def test_stationary_tables_take_one_iterate_and_one_factor(self, data, scheme_name,
                                                                monkeypatch):
-        # The nonlinearity tables never move here, so each step is its first
-        # solve.  Every step factors the wave system once; the heat system is
-        # factored once per leading weight (BDF2 starts with an Euler step).
+        # The nonlinearity tables and the frozen stiffness never move here,
+        # so each step is its first solve, with a kept wave factor that is
+        # exact.  The wave system is factored once per leading weight lead2,
+        # and factored again after that step for the steps that keep it (a
+        # BDF2 run's Euler factor serves its first step only); the heat
+        # system is factored once per leading weight lead1.  The states are
+        # bit-identical to those of a fresh wave factor per step.
         space = small_space(6)
         z = np.zeros(space.n_dofs)
         if data == "zero":
             kwargs = dict(variant=WESTERVELT, model=LIVER_QUADRATIC, u0=z, u1=z, theta0=z)
         else:
-            kwargs = dict(variant=LINEAR_WAVE, model=CONSTANT_MEDIUM, u0=SINE_INITIAL,
-                          u1=SINE_VELOCITY, theta0=SINE_INITIAL, projection="nodal")
+            kwargs = dict(variant=LINEAR_WAVE, model=CONSTANT_MEDIUM,
+                          u0=fem.nodal_interpolate(space, SINE_INITIAL).values,
+                          u1=fem.nodal_interpolate(space, SINE_VELOCITY).values,
+                          theta0=fem.nodal_interpolate(space, SINE_INITIAL).values)
+        scheme = scheme_by_name(scheme_name)
+        heat = HeatParams(1.0, 1e-5)
+        expected = fresh_factor_run(space, scheme, heat=heat, tau=0.05, n_steps=4, **kwargs)
         calls = count_factorizations(monkeypatch)
-        result = run_simulation(space, scheme=scheme_by_name(scheme_name),
-                                heat=HeatParams(1.0, 1e-5), tau=0.05, n_steps=4, **kwargs)
+        result = run_simulation(space, scheme=scheme, heat=heat, tau=0.05, n_steps=4, **kwargs)
         assert [rep.iterations for rep in result.reports] == [1, 1, 1, 1]
+        wave = [1 + 1, 0, 0, 0] if scheme_name == "euler" else [1, 1 + 1, 0, 0]
         heat_factors = [1, 0, 0, 0] if scheme_name == "euler" else [1, 1, 0, 0]
-        assert [rep.factorizations for rep in result.reports] == [1 + h for h in heat_factors]
+        assert ([rep.factorizations for rep in result.reports]
+                == [w + h for w, h in zip(wave, heat_factors)])
         assert len(calls) == sum(rep.factorizations for rep in result.reports)
+        for got, want in zip(result.state.u + result.state.theta, expected.u + expected.theta):
+            assert np.array_equal(got, want)
 
     def test_nonlinear_step_factors_once_and_matches_picard(self, monkeypatch):
         # k_W = 1: the quasilinear factor 1 + 2u moves by tens of percent.
@@ -269,6 +298,66 @@ class TestWaveStep:
 
         expected = picard_wave_step(ctx)
         assert np.abs(u_new - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_kept_factor_matches_fresh_factors_over_a_run(self, monkeypatch):
+        # The model of the test above: n1 moves from step to step, so every
+        # step after the first of its leading weight runs on a stale base.
+        model = TissueModel(speed_coeffs=(1.0,), ambient=0.0, density=1.0, b_over_2a=0.0)
+        space = small_space(6)
+        kwargs = dict(variant=WESTERVELT, model=model, heat=HeatParams(1.0, 1e-5), tau=0.05,
+                      n_steps=6, u0=0.2 * fem.nodal_interpolate(space, SINE_INITIAL).values,
+                      u1=fem.nodal_interpolate(space, SINE_VELOCITY).values,
+                      theta0=np.zeros(space.n_dofs))
+        expected = fresh_factor_run(space, BDF2, **kwargs)
+        calls = count_factorizations(monkeypatch)
+        result = run_simulation(space, scheme=BDF2, **kwargs)
+        factorizations = [rep.factorizations for rep in result.reports]
+        # Euler's step 1, then BDF2's first step, its placement and heat factor
+        assert factorizations[:2] == [2, 3]
+        assert 0 in factorizations[2:]  # a step on the kept factor
+        assert len(calls) == sum(factorizations)
+        for got, want in zip(result.state.u, expected.u):
+            assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+    def test_stalled_stale_factor_is_refreshed(self, monkeypatch):
+        # A base factored at rest (n1 = 1) used where n1 = 3: its chord
+        # correction grows instead of contracting.
+        model = TissueModel(speed_coeffs=(1.0,), ambient=0.0, density=1.0, b_over_2a=0.0)
+        space = small_space(4)
+
+        def context(level):
+            state = zero_state(space, tau=0.01)
+            state.u[0][space.interior_dofs] = level
+            state.u[1][:] = state.u[0]
+            return StepContext(state, EULER, WESTERVELT, model)
+
+        def rest_base():
+            base = ChordBase()
+            wave_step(context(0.0), FixedPointConfig(), base)
+            assert base.lu is None and base.place() == 1
+            return base
+
+        fp = FixedPointConfig(tol=1e-13)
+        expected, _ = wave_step(context(1.0), fp)
+        u_new, info = wave_step(context(1.0), fp, rest_base())
+        assert info["increments"][1] > info["increments"][0]
+        assert info["factorizations"] == 1
+        assert np.abs(u_new - expected).max() <= 1e-12 * np.abs(expected).max()
+
+        monkeypatch.setattr(stepping, "_CHORD_REFRESH", np.inf)
+        with pytest.raises(FixedPointDivergenceError):
+            wave_step(context(1.0), fp, rest_base())
+
+    def test_non_finite_wave_load_stops_at_first_iterate(self):
+        space = small_space(4)
+        bad = np.full(space.n_dofs, np.nan)
+        with pytest.raises(FloatingPointError, match="wave iterate 1 at step 3") as exc:
+            run_simulation(
+                space, scheme=BDF2, variant=WESTERVELT, model=LIVER_QUADRATIC,
+                heat=HeatParams(1.0, 1e-5), tau=0.05, n_steps=5, u0=SINE_INITIAL,
+                u1=SINE_VELOCITY, theta0=SINE_INITIAL, projection="nodal",
+                sources=lambda t: (bad if t == 3 * 0.05 else None, None))
+        assert exc.value.step_index == 3
 
     def test_single_euler_step_matches_hand_solution(self):
         # One interior vertex: the step reduces to a scalar equation
@@ -480,6 +569,18 @@ class TestHeatStep:
         ix = space.interior_dofs
         expected = np.linalg.solve(h_dense[np.ix_(ix, ix)], rhs[ix])
         np.testing.assert_allclose(theta_new[ix], expected, rtol=1e-10, atol=1e-14)
+
+    def test_cache_keeps_the_current_weight_only(self):
+        # A BDF2 run's second step evicts the Euler factor of its first.
+        space = small_space(4)
+        cache: dict = {}
+        z = np.zeros(space.n_dofs)
+        for levels in (2, 3):
+            state = zero_state(space, tau=0.01, levels=levels)
+            state.theta = [z] * (levels - 1)
+            heat_step(StepContext(state, BDF2, WESTERVELT, LIVER_QUADRATIC), z,
+                      HeatParams(1.0, 1e-5), cache)
+        assert list(cache) == [BDF2.lead1]
 
     def test_factor_cache_reuse_is_exact(self, rng):
         space = small_space(4)
@@ -701,9 +802,12 @@ class TestRunSimulation:
         path = tmp_path / "steps.csv"
         write_step_reports(result.reports, path)
         lines = path.read_text().strip().split("\n")
-        assert lines[0] == "step,scheme,iterations,increment,n1_min,wave_residual,heat_residual"
+        assert lines[0] == ("step,scheme,iterations,increment,n1_min,wave_residual,"
+                            "heat_residual,factorizations")
         assert len(lines) == 4
         first = lines[1].split(",")
         assert first[0] == "1"
         assert first[1] == "euler"
         assert float(first[3]) < 1e-10
+        assert [int(line.split(",")[-1]) for line in lines[1:]] == [
+            rep.factorizations for rep in result.reports]
