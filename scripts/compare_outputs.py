@@ -9,9 +9,12 @@ Every file at the same relative path in both trees gets one line: either
 header fields of a CSV file, the keys of a JSON file (nested keys joined
 by dots, the entries of a list pooled under its key), and for any other
 text file, such as a VTK snapshot, one column "values" holding every
-whitespace-separated number.  A file whose text fields or number of
-values differ is reported as "structure differs".  Files found in one
-tree only are listed after the shared ones.
+whitespace-separated number.  Only the columns both files have are
+compared; the columns of one file only are listed after them, as
+"added" (in DIR_B only) or "removed" (in DIR_A only).  A file whose
+shared columns differ in their text fields or number of values is
+reported as "structure differs".  Files found in one tree only are
+listed after the shared ones.
 
 The exit status is 0 when both trees hold the same files, byte for byte,
 and 1 otherwise.
@@ -37,9 +40,10 @@ def _csv_fields(text: str):
     lines = text.splitlines()
     header = lines[0].split(",") if lines else []
     for line in lines[1:]:
-        for name, field in zip(header, line.split(",")):
+        fields = line.split(",")
+        for name, field in zip(header, fields):
             yield name, field
-        yield "#fields", str(len(line.split(",")))
+        yield "#fields", str(len(fields) - len(header))
 
 
 def _json_fields(value, key: str = ""):
@@ -57,7 +61,9 @@ def _json_fields(value, key: str = ""):
 
 
 def columns(path: Path, text: str):
-    """Numeric values by column name, and the other fields, in file order."""
+    """Numeric values by column name, the other fields, and the column
+    names, each in file order.  A structural field ("#len", "#fields")
+    belongs to the column named before its "#" ("" for a CSV row)."""
     if path.suffix == ".csv":
         fields = _csv_fields(text)
     elif path.suffix == ".json":
@@ -66,13 +72,15 @@ def columns(path: Path, text: str):
         fields = (("values", token) for token in text.split())
     numeric: dict = {}
     other = []
+    names: dict = {}
     for name, field in fields:
+        names.setdefault(name.partition("#")[0])
         value = None if name.endswith(("#len", "#fields")) else _number(field)
         if value is None:
             other.append((name, field))
         else:
             numeric.setdefault(name, []).append(value)
-    return numeric, other
+    return numeric, other, list(names)
 
 
 def max_relative_difference(a, b) -> float:
@@ -88,14 +96,23 @@ def compare_file(a: Path, b: Path) -> str:
     if raw_a == raw_b:
         return "identical"
     try:
-        num_a, other_a = columns(a, raw_a.decode())
-        num_b, other_b = columns(b, raw_b.decode())
+        num_a, other_a, names_a = columns(a, raw_a.decode())
+        num_b, other_b, names_b = columns(b, raw_b.decode())
     except (UnicodeDecodeError, json.JSONDecodeError):
         return "structure differs (not text of a known layout)"
+    shared = set(names_a) & set(names_b)
+    num_a, num_b = ({k: v for k, v in num.items() if k in shared} for num in (num_a, num_b))
+    other_a, other_b = ([f for f in other if f[0].partition("#")[0] in shared]
+                        for other in (other_a, other_b))
+    added = [n for n in names_b if n not in shared]
+    removed = [n for n in names_a if n not in shared]
+    notes = ([f"added {', '.join(added)}"] if added else []) + (
+        [f"removed {', '.join(removed)}"] if removed else [])
     if other_a != other_b or num_a.keys() != num_b.keys() or any(
             len(num_a[k]) != len(num_b[k]) for k in num_a):
-        return "structure differs"
-    return ", ".join(f"{k} {max_relative_difference(num_a[k], num_b[k]):.2g}" for k in num_a)
+        return "; ".join(["structure differs"] + notes)
+    drift = ", ".join(f"{k} {max_relative_difference(num_a[k], num_b[k]):.2g}" for k in num_a)
+    return "; ".join(([drift] if drift else []) + notes)
 
 
 def compare_trees(dir_a: Path, dir_b: Path) -> tuple[list, bool]:

@@ -318,11 +318,6 @@ class FESpace:
             self._values_cache[quad_degree] = FEValues(self, triangle_rule(quad_degree))
         return self._values_cache[quad_degree]
 
-    def function(self, values=None) -> "FEFunction":
-        if values is None:
-            values = np.zeros(self.n_dofs)
-        return FEFunction(self, np.asarray(values, dtype=np.float64))
-
     def matrix_pattern(self) -> linalg.TripletPattern:
         """Structure of every assembled matrix: local entry (a, b) of cell c
         goes to (cell_dofs[c, a], cell_dofs[c, b])."""

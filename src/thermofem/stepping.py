@@ -4,19 +4,16 @@ One time step advances the wave field first and the temperature second.
 The wave step treats the quasilinear factor (1 + 2k u or 1 + 2k u_t) and
 the remaining nonlinearity by fixed-point iteration, freezing the
 temperature-dependent coefficients q(theta^n) and beta(theta^n) over the
-step.  The iteration is a chord method: each iterate corrects the current
-one by a factor of the wave system applied to the residual of the system
-at the iterate.  A run keeps that factor across its steps (a ChordBase,
-one per leading weight lead2), because the strongly damped wave operator
-changes little from one step to the next.  A step whose frozen operator
-data (the n1 table at the previous level and stiff_frozen) equal bit for
-bit those the kept factor was built from uses it as its own: the solve
-with b(u^n) is the first iterate, as with a fresh factor.  Otherwise the
-kept factor is stale, and the step starts with a correction at u^n; once
-an iterate contracts by less than _CHORD_REFRESH, the stale factor is
-dropped and the system at the current iterate is factored instead.  A
-step with no kept factor for its lead2 factors the system at the
-previous level.  The heat step is semi-implicit: diffusion and
+step.  The iteration is a chord method: every iterate, from u^n on,
+corrects the current one by a factor of the wave system applied to the
+residual of the system at the iterate.  A run keeps that factor across
+its steps (a ChordBase, one per leading weight lead2), because the
+strongly damped wave operator changes little from one step to the next.
+A step with no kept factor for its lead2 factors the system at u^n.  A
+kept factor built from other frozen operator data (the n1 table at u^n
+and stiff_frozen) than the step's own is stale: once an iterate contracts
+by less than _CHORD_REFRESH, it is dropped and the system at the current
+iterate is factored instead.  The heat step is semi-implicit: diffusion and
 perfusion are implicit, the absorbed energy is evaluated from the fresh
 wave iterate and the previous temperature, so it costs a single symmetric
 positive definite solve, with one factor kept per leading weight lead1.
@@ -320,25 +317,24 @@ def wave_step(ctx: StepContext, fp: FixedPointConfig, base: ChordBase | None = N
     """Advance the wave field one step; returns (u_new, step info dict).
 
     The fixed point starts from the previous level u^n and runs as a chord
-    iteration: each iterate after the first adds the correction
-    B^{-1} (b(u) - A(u) u), where A(u) = lead2 M(n1(u)) + stiff_frozen is
-    the interior system at the iterate (a sum of data arrays, see
-    FESpace.interior_matrix) and B a factor of it at some iterate.
+    iteration: every iterate adds the correction B^{-1} (b(u) - A(u) u),
+    where A(u) = lead2 M(n1(u)) + stiff_frozen is the interior system at
+    the iterate (a sum of data arrays, see FESpace.interior_matrix) and B a
+    factor of it at some iterate.
 
     `base` is the run's kept factor, if any, and its leading weight must
-    match the step's to be used.  Built from the n1 table of u^n and the
-    stiff_frozen data of this step, bit for bit, it is exact: the step
-    solves A(u^n) u = b(u^n) with it for the first iterate.  With no usable
-    base, the step factors A(u^n) and does the same, and records the new
-    system in `base` (see ChordBase).  Otherwise the base is stale: the
-    first iterate is already a correction, and when an increment exceeds
-    _CHORD_REFRESH times the one before, the stale factor is dropped and
-    A at the current iterate is factored, recorded and used from then on.
+    match the step's to be used.  With no usable base, the first iterate
+    factors A(u^n) and records the new system in `base` (see ChordBase).
+    A base built from the n1 table of u^n and the stiff_frozen data of this
+    step, bit for bit, is that same factor.  Otherwise the base is stale,
+    and when an increment exceeds _CHORD_REFRESH times the one before, the
+    stale factor is dropped and the next iterate factors A at its own
+    iterate, records it and uses it from then on.
 
     The iteration stops when the relative L2 increment between iterates
     drops below fp.tol (absolute when the new iterate is zero), or as soon
     as the nonlinearity tables stop changing while n1 equals the table of
-    a factor made for this step, in which case the next correction would
+    a factor exact for this step, in which case the next correction would
     be rounding alone.  A DegeneracyWarning is issued while the factor's
     minimum lies below 0.1, and a DegeneracyError raised once it is no
     longer positive.  A non-finite increment or solve residual raises
@@ -355,24 +351,19 @@ def wave_step(ctx: StepContext, fp: FixedPointConfig, base: ChordBase | None = N
     elif base.lead2 != lead2:
         base.drop()
 
-    u_i = ctx.u_prev.copy()
+    # The iterates hold the homogeneous Dirichlet values: u^n's boundary
+    # values (the rounding of a nodal interpolant) do not enter the step.
+    u_i = np.zeros(space.n_dofs)
+    u_i[idx] = ctx.u_prev[idx]
     n1, n2 = ctx.nonlinearity(u_i)
     lu = base.lu
     stale = lu is not None and not (np.array_equal(n1, base.n1)
                                     and np.array_equal(stiff, base.stiff))
-    n1_factor = None if stale else n1  # the n1 table of a factor exact for this step
     n1_min = float(n1.min())
     increments = []
     solves = []
     factorizations = 0
     base_rhs = tau * ctx.sb_d1 + (tau * tau) * ctx.f_load
-
-    def factor(m_n1, n1_table):
-        nonlocal factorizations
-        matrix = space.interior_matrix(lead2 * m_n1.data + stiff)
-        base.record(lead2, n1_table, stiff, matrix)
-        factorizations += 1
-        return linalg.factorize(matrix)
 
     for it in range(1, fp.max_iter + 1):
         if n1_min <= 0.0:
@@ -385,22 +376,18 @@ def wave_step(ctx: StepContext, fp: FixedPointConfig, base: ChordBase | None = N
                 DegeneracyWarning,
                 stacklevel=2,
             )
-        if it == 1 and not stale:
-            m_n1 = fem.assemble_mass(space, n1)
-            rhs = m_n1 @ ctx.d2u + base_rhs - (tau * tau) * fem.assemble_load(space, n2)
-            if lu is None:
-                lu = factor(m_n1, n1)
-            x, rel_res = lu.solve_with_report(rhs[idx])
-            u_next = np.zeros(space.n_dofs)
-            u_next[idx] = x
-        else:
-            # b(u) - A(u) u, applying M(n1) through the quadrature it is
-            # assembled with instead of assembling it
-            mass_part = n1 * ctx.fev.fe_values(ctx.d2u - lead2 * u_i) - (tau * tau) * n2
-            res = fem.assemble_load(space, mass_part) + base_rhs - ctx.stiff_frozen @ u_i
-            dx, rel_res = lu.solve_with_report(res[idx])
-            u_next = u_i.copy()
-            u_next[idx] += dx
+        # b(u) - A(u) u, applying M(n1) through the quadrature it is
+        # assembled with instead of assembling it
+        mass_part = n1 * ctx.fev.fe_values(ctx.d2u - lead2 * u_i) - (tau * tau) * n2
+        res = fem.assemble_load(space, mass_part) + base_rhs - ctx.stiff_frozen @ u_i
+        if lu is None:
+            matrix = space.interior_matrix(lead2 * fem.assemble_mass(space, n1).data + stiff)
+            base.record(lead2, n1, stiff, matrix)
+            factorizations += 1
+            lu = linalg.factorize(matrix)
+        dx, rel_res = lu.solve_with_report(res[idx])
+        u_next = u_i.copy()
+        u_next[idx] += dx
         solves.append(rel_res)
 
         norm_new = space.l2_norm(u_next)
@@ -415,18 +402,16 @@ def wave_step(ctx: StepContext, fp: FixedPointConfig, base: ChordBase | None = N
             break
         n1_next, n2_next = ctx.nonlinearity(u_next)
         n1_min = min(n1_min, float(n1_next.min()))
-        if (n1_factor is not None and np.array_equal(n1, n1_factor)
-                and np.array_equal(n1_next, n1_factor) and np.array_equal(n2_next, n2)):
+        if (not stale and np.array_equal(n1, base.n1)
+                and np.array_equal(n1_next, base.n1) and np.array_equal(n2_next, n2)):
             # The factored operator was exact for the last update and still
             # is, and the remainder did not move: the next correction is the
             # solve's rounding, so the fixed point is reached.
             break
         if stale and it > 1 and rel > _CHORD_REFRESH * increments[-2]:
-            # The kept factor stopped contracting: free it, then factor the
-            # system at the current iterate.
+            # The kept factor stopped contracting: the next iterate factors
+            # the system at its own iterate.
             lu = None
-            lu = factor(fem.assemble_mass(space, n1_next), n1_next)
-            n1_factor = n1_next
             stale = False
         u_i, n1, n2 = u_next, n1_next, n2_next
     else:
@@ -442,8 +427,9 @@ def heat_step(ctx: StepContext, u_new: np.ndarray, heat: HeatParams, factor_cach
     The absorbed energy is evaluated from the new wave level, its discrete
     time derivative, and the previous temperature; the source is ctx.heat_load.
     The factorized heat matrix is kept in factor_cache, keyed by the scheme's
-    leading weight; the factors of other weights are evicted first (a BDF2
-    run's Euler factor serves its first step only).
+    leading weight; the cache holds one factor, so a BDF2 run's Euler factor
+    serves its first step only.  A non-finite solution or solve residual
+    raises FloatingPointError at once, naming the step.
     """
     space = ctx.space
     tau = ctx.tau
@@ -461,14 +447,16 @@ def heat_step(ctx: StepContext, u_new: np.ndarray, heat: HeatParams, factor_cach
     rhs = ctx.mass @ ctx.d1theta + tau * load
 
     key = eff.lead1
-    for other in [k for k in factor_cache if k != key]:
-        del factor_cache[other]
     if key not in factor_cache:
+        factor_cache.clear()
         h_data = ((eff.lead1 + tau * heat.nu) * ctx.mass.data
                   + (tau * heat.kappa) * space.stiffness_matrix().data)
         factor_cache[key] = linalg.factorize(space.interior_matrix(h_data))
 
     x, rel_res = factor_cache[key].solve_with_report(rhs[idx])
+    if not (math.isfinite(rel_res) and np.isfinite(x).all()):
+        raise FloatingPointError(f"non-finite heat solve at step {ctx.step_index} "
+                                 f"(solve residual {rel_res:.3e})")
     theta_new = np.zeros(space.n_dofs)
     theta_new[idx] = x
     return theta_new, rel_res
@@ -594,18 +582,22 @@ def write_step_reports(reports: Sequence[StepReport], path) -> None:
     """Stream step reports as CSV.
 
     increment is the relative increment of the step's last iterate, and
-    wave_residual the relative residual of its last linear wave solve: the
-    last chord correction, or the first solve when one iterate sufficed.
-    heat_residual is that of the heat solve, and factorizations the number
-    of LU factorizations made for the step, wave and heat.
+    wave_residual the relative residual of its last linear wave solve, the
+    last chord correction.  heat_residual is that of the heat solve, and
+    factorizations the number of LU factorizations made for the step, wave
+    and heat.  contraction is the last increment over the one before, the
+    observed contraction ratio of the chord iteration; it is empty for a
+    step that took one iterate.
     """
     lines = ["step,scheme,iterations,increment,n1_min,wave_residual,heat_residual,"
-             "factorizations"]
+             "factorizations,contraction"]
     for r in reports:
+        incs = r.increments
+        contraction = f"{incs[-1] / incs[-2]:.17g}" if len(incs) > 1 else ""
         lines.append(
-            f"{r.index},{r.scheme_tag},{r.iterations},{r.increments[-1]:.17g},"
+            f"{r.index},{r.scheme_tag},{r.iterations},{incs[-1]:.17g},"
             f"{r.n1_min:.17g},{r.wave_solves[-1]:.17g},{r.heat_residual:.17g},"
-            f"{r.factorizations}"
+            f"{r.factorizations},{contraction}"
         )
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -18,6 +18,9 @@ def test_reports_identical_files_and_relative_drift_per_column(tmp_path, capsys)
         "sub/snapshot.vtk": ("POINTS 2 double\n0 1.5\n", "POINTS 2 double\n0 1.5\n"),
         "grid.vtk": ("SCALARS u\n1.0 0\n", "SCALARS u\n1.0 0 0\n"),
         "renamed.csv": ("step,scheme\n1,euler\n", "step,scheme\n1,bdf2\n"),
+        "columns.csv": ("step,x,old\n1,2.0,7\n2,4.0,8\n",
+                        "step,new,x\n1,,2.0\n2,0.5,4.4\n"),
+        "keys.json": ('{"a": 1.0, "b": [1, 2]}', '{"a": 1.5, "c": "tag"}'),
     }
     for name, (text_a, text_b) in files.items():
         for root, text in ((a, text_a), (b, text_b)):
@@ -28,7 +31,9 @@ def test_reports_identical_files_and_relative_drift_per_column(tmp_path, capsys)
     assert compare_outputs.main([str(a), str(b)]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines == [
+        "columns.csv: step 0, x 0.091; added new; removed old",
         "grid.vtk: structure differs",
+        "keys.json: a 0.33; added c; removed b",
         "renamed.csv: structure differs",
         "steps.csv: step 0, x 1e-06",
         "sub/snapshot.vtk: identical",

@@ -6,7 +6,7 @@ from the legacy-format rules, and round-tripped against the CSV path.
 import numpy as np
 import pytest
 
-from thermofem.fem import build_space
+from thermofem.fem import FEFunction, build_space
 from thermofem.mesh import Mesh, unit_square_mesh
 from thermofem.output import write_snapshot_csv, write_vtk
 
@@ -67,16 +67,16 @@ def read_csv(path):
 
 
 def fields_on(space, rng):
-    u = space.function(rng.standard_normal(space.n_dofs))
-    theta = space.function(rng.standard_normal(space.n_dofs))
+    u = FEFunction(space, rng.standard_normal(space.n_dofs))
+    theta = FEFunction(space, rng.standard_normal(space.n_dofs))
     return u, theta
 
 
 class TestVtkStructure:
     def test_one_triangle_layout(self, tmp_path):
         space = build_space(one_triangle_mesh(), 1)
-        u = space.function(np.array([1.0, 2.0, 3.0]))
-        theta = space.function(np.array([-1.0, 0.0, 0.5]))
+        u = FEFunction(space, np.array([1.0, 2.0, 3.0]))
+        theta = FEFunction(space, np.array([-1.0, 0.0, 0.5]))
         path = tmp_path / "snap.vtk"
         write_vtk(path, [("pressure", u), ("temperature", theta)])
 
@@ -91,7 +91,7 @@ class TestVtkStructure:
 
     def test_exact_lines_one_triangle(self, tmp_path):
         space = build_space(one_triangle_mesh(), 1)
-        u = space.function(np.array([1.0, 2.0, 3.0]))
+        u = FEFunction(space, np.array([1.0, 2.0, 3.0]))
         path = tmp_path / "snap.vtk"
         write_vtk(path, [("pressure", u)], title="single cell")
         expected = [
@@ -164,7 +164,8 @@ class TestVtkStructure:
             write_vtk(tmp_path / "e.vtk", [])
         with pytest.raises(ValueError, match="different space"):
             write_vtk(tmp_path / "m.vtk",
-                      [("pressure", s1.function()), ("temperature", s2.function())])
+                      [("pressure", FEFunction(s1, np.zeros(s1.n_dofs))),
+                       ("temperature", FEFunction(s2, np.zeros(s2.n_dofs)))])
 
 
 class TestRoundTrip:
@@ -209,8 +210,8 @@ class TestRoundTrip:
     def test_seventeen_digits_round_trip(self, tmp_path):
         space = build_space(one_triangle_mesh(), 1)
         vals = np.array([1.0 / 3.0, np.pi * 1e-7, -2.0 / 7.0])
-        u = space.function(vals.copy())
-        theta = space.function(np.array([1e-300, 123456.789012345678, -0.1]))
+        u = FEFunction(space, vals.copy())
+        theta = FEFunction(space, np.array([1e-300, 123456.789012345678, -0.1]))
         write_vtk(tmp_path / "s.vtk", [("pressure", u), ("temperature", theta)])
         write_snapshot_csv(tmp_path / "s.csv", u, theta)
         _, _, arrays = read_vtk(tmp_path / "s.vtk")
@@ -245,7 +246,8 @@ class TestCsv:
 
     def test_rejects_mismatched_spaces(self, tmp_path):
         mesh = unit_square_mesh(2)
-        u = build_space(mesh, 1).function()
-        theta = build_space(mesh, 2).function()
+        s1, s2 = build_space(mesh, 1), build_space(mesh, 2)
+        u = FEFunction(s1, np.zeros(s1.n_dofs))
+        theta = FEFunction(s2, np.zeros(s2.n_dofs))
         with pytest.raises(ValueError, match="different spaces"):
             write_snapshot_csv(tmp_path / "s.csv", u, theta)

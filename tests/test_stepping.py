@@ -252,8 +252,8 @@ class TestWaveStep:
     def test_stationary_tables_take_one_iterate_and_one_factor(self, data, scheme_name,
                                                                monkeypatch):
         # The nonlinearity tables and the frozen stiffness never move here,
-        # so each step is its first solve, with a kept wave factor that is
-        # exact.  The wave system is factored once per leading weight lead2,
+        # so each step takes one chord correction from u^n, with a kept wave
+        # factor that is exact.  The wave system is factored once per leading weight lead2,
         # and factored again after that step for the steps that keep it (a
         # BDF2 run's Euler factor serves its first step only); the heat
         # system is factored once per leading weight lead1.  The states are
@@ -280,6 +280,31 @@ class TestWaveStep:
         assert len(calls) == sum(rep.factorizations for rep in result.reports)
         for got, want in zip(result.state.u + result.state.theta, expected.u + expected.theta):
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("scheme", [EULER, BDF2])
+    def test_first_iterate_from_a_fresh_factor_solves_the_system_at_u_n(self, scheme, rng):
+        # A linear step: one correction from u^n with the factor of A(u^n)
+        # is the solution of A(u^n) u = b(u^n), which vanishes on the
+        # boundary even where the history levels do not.
+        space = small_space(6)
+        tau = 0.05
+        state = zero_state(space, tau, levels=3)
+        state.u = [rng.normal(size=space.n_dofs) for _ in range(3)]
+        state.theta = [interior_vector(space, rng) for _ in range(2)]
+        x1 = space.values().points[..., 0]
+        ctx = StepContext(state, scheme, LINEAR_WAVE, CONSTANT_MEDIUM,
+                          lambda t: (fem.assemble_load(space, 1.0 + x1), None))
+        u_new, info = wave_step(ctx, FixedPointConfig())
+        assert info["iterations"] == 1 and info["factorizations"] == 1
+
+        ix = space.interior_dofs
+        m = space.mass_matrix()
+        a = (ctx.scheme.lead2 * m.to_dense() + ctx.stiff_frozen.to_dense())[np.ix_(ix, ix)]
+        b = m @ ctx.d2u + tau * ctx.sb_d1 + tau * tau * ctx.f_load
+        expected = np.zeros(space.n_dofs)
+        expected[ix] = np.linalg.solve(a, b[ix])
+        assert np.abs(u_new - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert np.all(u_new[space.boundary_dofs] == 0.0)
 
     def test_nonlinear_step_factors_once_and_matches_picard(self, monkeypatch):
         # k_W = 1: the quasilinear factor 1 + 2u moves by tens of percent.
@@ -595,6 +620,17 @@ class TestHeatStep:
         np.testing.assert_array_equal(first, again)
         np.testing.assert_array_equal(first, fresh)
 
+    def test_non_finite_heat_load_stops_at_its_step(self):
+        space = small_space(4)
+        bad = np.full(space.n_dofs, np.nan)
+        with pytest.raises(FloatingPointError, match="heat solve at step 3") as exc:
+            run_simulation(
+                space, scheme=EULER, variant=WESTERVELT, model=LIVER_QUADRATIC,
+                heat=HeatParams(1.0, 1e-5), tau=0.05, n_steps=5, u0=SINE_INITIAL,
+                u1=SINE_VELOCITY, theta0=SINE_INITIAL, projection="nodal",
+                sources=lambda t: (None, bad if t == 3 * 0.05 else None))
+        assert exc.value.step_index == 3
+
 
 class TestRunSimulation:
     @pytest.mark.parametrize("scheme_name", ["euler", "bdf2"])
@@ -803,11 +839,23 @@ class TestRunSimulation:
         write_step_reports(result.reports, path)
         lines = path.read_text().strip().split("\n")
         assert lines[0] == ("step,scheme,iterations,increment,n1_min,wave_residual,"
-                            "heat_residual,factorizations")
+                            "heat_residual,factorizations,contraction")
         assert len(lines) == 4
-        first = lines[1].split(",")
+        rows = [line.split(",") for line in lines[1:]]
+        first = rows[0]
         assert first[0] == "1"
         assert first[1] == "euler"
         assert float(first[3]) < 1e-10
-        assert [int(line.split(",")[-1]) for line in lines[1:]] == [
-            rep.factorizations for rep in result.reports]
+        assert [int(row[-2]) for row in rows] == [rep.factorizations for rep in result.reports]
+        for row, rep in zip(rows, result.reports):
+            incs = rep.increments
+            assert len(incs) > 1
+            assert float(row[-1]) == incs[-1] / incs[-2]
+
+    def test_report_csv_leaves_contraction_empty_after_one_iterate(self, tmp_path):
+        report = stepping.StepReport(index=1, scheme_tag="euler", iterations=1, n1_min=1.0,
+                                     increments=(0.0,), wave_solves=(1e-16,),
+                                     heat_residual=0.0, factorizations=2)
+        path = tmp_path / "steps.csv"
+        write_step_reports([report], path)
+        assert path.read_text().splitlines()[1] == "1,euler,1,0,1,9.9999999999999998e-17,0,2,"
