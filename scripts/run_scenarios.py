@@ -3,7 +3,8 @@
 
 Writes VTK/CSV snapshots, per-step solver diagnostics, and a JSON summary
 for the focused-pulse run (example 2) and the driven-source run
-(example 3) under the output root.  Expect 10-20 minutes in total.
+(example 3) under the output root.  Both take about 2 minutes in total
+(55 s and 76 s on a 2-vCPU machine with BLAS on one thread).
 """
 import argparse
 import pathlib

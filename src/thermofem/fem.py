@@ -35,7 +35,7 @@ import scipy.special
 
 from . import linalg
 from .linalg import SparseMatrix
-from .mesh import Mesh
+from .mesh import Mesh, number_edges
 
 __all__ = [
     "QuadratureRule",
@@ -231,8 +231,7 @@ class FESpace:
         nt = mesh.n_triangles
         n_loc = (degree + 1) * (degree + 2) // 2
 
-        edges_all = np.sort(tris[:, _LOCAL_EDGES].reshape(-1, 2), axis=1)
-        edges, edge_of = np.unique(edges_all, axis=0, return_inverse=True)
+        edges, edge_of, edge_counts = number_edges(tris[:, _LOCAL_EDGES].reshape(-1, 2), nv)
         edge_of = edge_of.reshape(nt, 3)
         ne = len(edges)
         self._edges = edges
@@ -269,10 +268,7 @@ class FESpace:
 
         # Dirichlet set: vertex dofs on the boundary plus edge dofs of
         # boundary edges (cell-interior dofs never touch the boundary).
-        edges_sorted = edges  # already sorted rows, lexicographic order
-        counts = np.zeros(ne, dtype=np.int64)
-        np.add.at(counts, edge_of.ravel(), 1)
-        boundary_edge = counts == 1
+        boundary_edge = edge_counts == 1
         bdofs = [mesh.boundary_vertices]
         if degree == 2:
             bdofs.append(nv + np.flatnonzero(boundary_edge))

@@ -22,7 +22,7 @@ __all__ = [
     "MeshFormatError",
     "unit_square_mesh",
     "focused_domain_mesh",
-    "focused_domain_contains",
+    "number_edges",
     "mirror_vertex_map",
     "load_mesh",
     "save_mesh",
@@ -82,12 +82,11 @@ class Mesh:
                 f"triangle {bad} is degenerate or clockwise (signed area {areas[bad]:.3e})"
             )
 
-        edges = np.sort(triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-        uniq, counts = np.unique(edges, axis=0, return_counts=True)
+        edges, _, counts = number_edges(triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2),
+                                        len(vertices))
         if (counts > 2).any():
             raise ValueError("non-manifold mesh: an edge is shared by more than two triangles")
-        boundary_edges = uniq[counts == 1]
-        self.boundary_vertices = np.unique(boundary_edges)
+        self.boundary_vertices = np.unique(edges[counts == 1])
 
         d01 = vertices[triangles[:, 1]] - vertices[triangles[:, 0]]
         d12 = vertices[triangles[:, 2]] - vertices[triangles[:, 1]]
@@ -128,6 +127,22 @@ def _signed_areas(vertices, triangles):
     return 0.5 * ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
 
 
+def number_edges(pairs, n_vertices: int):
+    """Number the edges of vertex pairs given in either orientation.
+
+    Returns (edges, edge_of, counts): the distinct edges as rows (smaller
+    vertex first) in lexicographic order, the edge number of each pair, and
+    the number of pairs on each edge.  The edges are numbered by the
+    integer keys lo * n_vertices + hi, which sort as the rows do.
+    """
+    pairs = np.asarray(pairs, dtype=np.int64)
+    lo = np.minimum(pairs[:, 0], pairs[:, 1])
+    hi = np.maximum(pairs[:, 0], pairs[:, 1])
+    keys, edge_of, counts = np.unique(lo * n_vertices + hi, return_inverse=True,
+                                      return_counts=True)
+    return np.column_stack([keys // n_vertices, keys % n_vertices]), edge_of, counts
+
+
 def unit_square_mesh(n: int) -> Mesh:
     """Uniform triangulation of the unit square with 2*n^2 triangles.
 
@@ -151,17 +166,6 @@ def unit_square_mesh(n: int) -> Mesh:
     upper = np.column_stack([v00, v11, v01])
     triangles = np.vstack([lower, upper])
     return Mesh(vertices, triangles)
-
-
-def focused_domain_contains(points, tol: float = 1e-10) -> np.ndarray:
-    """Membership predicate for the focused-transducer domain."""
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    r = np.hypot(pts[:, 0], pts[:, 1])
-    return (
-        (pts[:, 0] >= X_LEFT - tol)
-        & (np.abs(pts[:, 1]) <= Y_HALF + tol)
-        & (r <= ARC_RADIUS + tol)
-    )
 
 
 def focused_domain_mesh(h_target: float) -> Mesh:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -75,18 +75,12 @@ class ManufacturedPair:
     def u_t(self, x, t):
         return self.rate1 * self.u(x, t)
 
-    def u_tt(self, x, t):
-        return self.rate1 * self.rate1 * self.u(x, t)
-
     def grad_u(self, x, t):
         x = np.asarray(x, dtype=np.float64)
         amp = self.a1 * math.exp(self.rate1 * t) * _TWO_PI
         s1, c1 = np.sin(_TWO_PI * x[..., 0]), np.cos(_TWO_PI * x[..., 0])
         s2, c2 = np.sin(_TWO_PI * x[..., 1]), np.cos(_TWO_PI * x[..., 1])
         return _separable_grad(amp, s1, c1, s2, c2)
-
-    def lap_u(self, x, t):
-        return -2.0 * _TWO_PI * _TWO_PI * self.u(x, t)
 
     # -- temperature field ---------------------------------------------
     def theta(self, x, t):
@@ -102,9 +96,6 @@ class ManufacturedPair:
         s1, c1 = np.sin(_FOUR_PI * x[..., 0]), np.cos(_FOUR_PI * x[..., 0])
         s2, c2 = np.sin(_FOUR_PI * x[..., 1]), np.cos(_FOUR_PI * x[..., 1])
         return _separable_grad(amp, s1, c1, s2, c2)
-
-    def lap_theta(self, x, t):
-        return -2.0 * _FOUR_PI * _FOUR_PI * self.theta(x, t)
 
     # -- field wrappers for projection and error measurement ------------
     def u_field(self) -> ScalarField:

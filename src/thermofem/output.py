@@ -12,6 +12,7 @@ import numpy as np
 
 from . import fem
 from .fem import FEFunction
+from .mesh import number_edges
 
 __all__ = ["write_vtk", "write_snapshot_csv"]
 
@@ -36,10 +37,7 @@ def _plot_geometry(space):
         return mesh.vertices, tris, ids, _SUB_BARY[:3]
 
     nv = mesh.n_vertices
-    pairs = np.concatenate(
-        [tris[:, [0, 1], None], tris[:, [1, 2], None], tris[:, [2, 0], None]], axis=2
-    ).transpose(0, 2, 1).reshape(-1, 2)
-    edges, inverse = np.unique(np.sort(pairs, axis=1), axis=0, return_inverse=True)
+    edges, inverse, _ = number_edges(tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), nv)
     eid = inverse.reshape(-1, 3) + nv  # columns: m_ab, m_bc, m_ca
     points = np.vstack([mesh.vertices, mesh.vertices[edges].mean(axis=1)])
 

@@ -13,10 +13,13 @@ A step with no kept factor for its lead2 factors the system at u^n.  A
 kept factor built from other frozen operator data (the n1 table at u^n
 and stiff_frozen) than the step's own is stale: once an iterate contracts
 by less than _CHORD_REFRESH, it is dropped and the system at the current
-iterate is factored instead.  The heat step is semi-implicit: diffusion and
-perfusion are implicit, the absorbed energy is evaluated from the fresh
-wave iterate and the previous temperature, so it costs a single symmetric
-positive definite solve, with one factor kept per leading weight lead1.
+iterate is factored instead.  Each factor is made once, by the step that
+needs it, and kept from then on.
+
+The heat step is semi-implicit: diffusion and perfusion are implicit, the
+absorbed energy is evaluated from the fresh wave iterate and the previous
+temperature, so it costs a single symmetric positive definite solve, with
+one factor kept per leading weight lead1.
 
 Two schemes share one code path: a scheme is its leading weights and the
 weights of its history combinations, newest level first (its tag only
@@ -284,33 +287,15 @@ class StepContext:
 class ChordBase:
     """The wave factor a run keeps across its steps, with what it was built
     from: the leading weight lead2, the n1 table and the stiff_frozen data.
+    wave_step stores each factor it makes here and uses it from then on."""
 
-    When wave_step factors a new interior system, it records the system in
-    `matrix` and keeps no factor; place() factors that matrix again once the
-    step's data are released.  Made among the step's temporaries, the
-    long-lived factor would pin the heap they leave behind, and the run's
-    peak memory would grow with it."""
-
-    __slots__ = ("lead2", "n1", "stiff", "matrix", "lu")
+    __slots__ = ("lead2", "n1", "stiff", "lu")
 
     def __init__(self):
         self.drop()
 
     def drop(self) -> None:
-        self.lead2 = self.n1 = self.stiff = self.matrix = self.lu = None
-
-    def record(self, lead2: float, n1: np.ndarray, stiff: np.ndarray, matrix) -> None:
-        self.drop()
-        self.lead2, self.n1, self.stiff, self.matrix = lead2, n1, stiff, matrix
-
-    def place(self) -> int:
-        """Factor the matrix recorded in the last step; returns the number
-        of factorizations made (0 or 1)."""
-        if self.matrix is None:
-            return 0
-        self.lu = linalg.factorize(self.matrix)
-        self.matrix = None
-        return 1
+        self.lead2 = self.n1 = self.stiff = self.lu = None
 
 
 def wave_step(ctx: StepContext, fp: FixedPointConfig, base: ChordBase | None = None):
@@ -324,12 +309,12 @@ def wave_step(ctx: StepContext, fp: FixedPointConfig, base: ChordBase | None = N
 
     `base` is the run's kept factor, if any, and its leading weight must
     match the step's to be used.  With no usable base, the first iterate
-    factors A(u^n) and records the new system in `base` (see ChordBase).
+    factors A(u^n) and stores the factor in `base`.
     A base built from the n1 table of u^n and the stiff_frozen data of this
     step, bit for bit, is that same factor.  Otherwise the base is stale,
     and when an increment exceeds _CHORD_REFRESH times the one before, the
     stale factor is dropped and the next iterate factors A at its own
-    iterate, records it and uses it from then on.
+    iterate, stores it and uses it from then on.
 
     The iteration stops when the relative L2 increment between iterates
     drops below fp.tol (absolute when the new iterate is zero), or as soon
@@ -381,10 +366,10 @@ def wave_step(ctx: StepContext, fp: FixedPointConfig, base: ChordBase | None = N
         mass_part = n1 * ctx.fev.fe_values(ctx.d2u - lead2 * u_i) - (tau * tau) * n2
         res = fem.assemble_load(space, mass_part) + base_rhs - ctx.stiff_frozen @ u_i
         if lu is None:
-            matrix = space.interior_matrix(lead2 * fem.assemble_mass(space, n1).data + stiff)
-            base.record(lead2, n1, stiff, matrix)
+            lu = linalg.factorize(
+                space.interior_matrix(lead2 * fem.assemble_mass(space, n1).data + stiff))
+            base.lead2, base.n1, base.stiff, base.lu = lead2, n1, stiff, lu
             factorizations += 1
-            lu = linalg.factorize(matrix)
         dx, rel_res = lu.solve_with_report(res[idx])
         u_next = u_i.copy()
         u_next[idx] += dx
@@ -409,9 +394,10 @@ def wave_step(ctx: StepContext, fp: FixedPointConfig, base: ChordBase | None = N
             # solve's rounding, so the fixed point is reached.
             break
         if stale and it > 1 and rel > _CHORD_REFRESH * increments[-2]:
-            # The kept factor stopped contracting: the next iterate factors
-            # the system at its own iterate.
+            # The kept factor stopped contracting: it is released, and the
+            # next iterate factors the system at its own iterate.
             lu = None
+            base.drop()
             stale = False
         u_i, n1, n2 = u_next, n1_next, n2_next
     else:
@@ -462,20 +448,24 @@ def heat_step(ctx: StepContext, u_new: np.ndarray, heat: HeatParams, factor_cach
     return theta_new, rel_res
 
 
-def _project(space: FESpace, data, projection: str) -> list:
-    """Coefficient vectors of the initial data, in order.  Vectors are
-    copied; ScalarFields are projected per `projection` ("ritz" or
-    "nodal"), and the Ritz projections share one factorization."""
+def _project(space: FESpace, data: dict, projection: str) -> list:
+    """Coefficient vectors of the named initial data, in order.  Vectors
+    are copied; ScalarFields are projected per `projection` ("ritz" or
+    "nodal"), and the Ritz projections share one factorization, made only
+    once every datum has been checked."""
     out = []
     ritz = []
-    for item in data:
+    for name, item in data.items():
         if isinstance(item, np.ndarray):
             if item.shape != (space.n_dofs,):
-                raise ValueError("initial coefficient vector has the wrong length")
+                raise ValueError(f"initial coefficient vector {name} has the wrong length")
             out.append(item.astype(np.float64, copy=True))
         elif not isinstance(item, ScalarField):
-            raise TypeError(f"unsupported initial data type {type(item).__name__}")
+            raise TypeError(f"unsupported initial data type {type(item).__name__} for {name}")
         elif projection == "ritz":
+            if item.grad is None:
+                raise ValueError(f"initial field {name} has no gradient, which the Ritz "
+                                 "projection needs")
             ritz.append(len(out))
             out.append(item)
         else:
@@ -516,7 +506,8 @@ def run_simulation(space: FESpace, *, scheme: TimeScheme, variant: EquationVaria
     if any(s < 0 or s > n_steps for s in snapshots):
         raise ValueError(f"snapshot indices must lie in [0, {n_steps}]")
 
-    u0_vec, u1_vec, theta0_vec = _project(space, (u0, u1, theta0), projection)
+    u0_vec, u1_vec, theta0_vec = _project(
+        space, {"u0": u0, "u1": u1, "theta0": theta0}, projection)
     ghost = u0_vec - tau * u1_vec  # backfilled level u^{-1}
 
     state = SimulationState(space=space, tau=tau, step=0, time=0.0,
@@ -551,14 +542,10 @@ def run_simulation(space: FESpace, *, scheme: TimeScheme, variant: EquationVaria
         state.time = (n + 1) * tau
         step_scheme = ctx.scheme
         # The next context is built from the state alone; releasing this
-        # one first keeps two steps' tables and matrices from coexisting,
-        # and frees the heap a new kept wave factor is placed on.
+        # one first keeps two steps' tables and matrices from coexisting.
         del ctx
-        if n + 1 < n_steps and scheme.lead2 == step_scheme.lead2:
-            placed = wave_base.place()
-        else:  # no later step uses this factor
-            wave_base.drop()
-            placed = 0
+        if n + 1 == n_steps or scheme.lead2 != step_scheme.lead2:
+            wave_base.drop()  # no later step uses this factor
 
         reports.append(StepReport(
             index=n + 1,
@@ -568,7 +555,7 @@ def run_simulation(space: FESpace, *, scheme: TimeScheme, variant: EquationVaria
             increments=info["increments"],
             wave_solves=info["solves"],
             heat_residual=heat_res,
-            factorizations=info["factorizations"] + heat_new + placed,
+            factorizations=info["factorizations"] + heat_new,
         ))
         max_u.append(float(np.abs(u_new).max()))
         max_theta.append(float(np.abs(theta_new).max()))

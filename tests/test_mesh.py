@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from thermofem.mesh import (ARC_RADIUS, Mesh, MeshFormatError, X_LEFT, Y_HALF,
-                            focused_domain_contains, focused_domain_mesh, load_mesh,
-                            mirror_vertex_map, save_mesh, unit_square_mesh)
+                            focused_domain_mesh, load_mesh, mirror_vertex_map,
+                            number_edges, save_mesh, unit_square_mesh)
 
 # analytic area of the focused domain: slab of width 0.06 joined with the
 # circular cap right of x1 = 0.03 (the slab corners lie exactly on the arc)
@@ -61,6 +61,33 @@ class TestUnitSquare:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             unit_square_mesh(0)
+
+
+def focused_domain_contains(points, tol: float = 1e-10) -> np.ndarray:
+    """Membership predicate for the focused-transducer domain."""
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    r = np.hypot(pts[:, 0], pts[:, 1])
+    return (
+        (pts[:, 0] >= X_LEFT - tol)
+        & (np.abs(pts[:, 1]) <= Y_HALF + tol)
+        & (r <= ARC_RADIUS + tol)
+    )
+
+
+class TestNumberEdges:
+    @pytest.mark.parametrize("mesh", [unit_square_mesh(5), focused_domain_mesh(4e-3)],
+                             ids=["square", "focused"])
+    def test_matches_row_unique_in_both_orientations(self, mesh, rng):
+        pairs = mesh.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+        flip = rng.random(len(pairs)) < 0.5
+        pairs = np.where(flip[:, None], pairs[:, ::-1], pairs)
+        edges, edge_of, counts = number_edges(pairs, mesh.n_vertices)
+        want, want_of, want_counts = np.unique(np.sort(pairs, axis=1), axis=0,
+                                               return_inverse=True, return_counts=True)
+        assert np.array_equal(edges, want)
+        assert np.array_equal(edge_of, want_of.ravel())
+        assert np.array_equal(counts, want_counts)
+        assert flip.any() and not flip.all()
 
 
 class TestFocusedDomain:

@@ -253,10 +253,9 @@ class TestWaveStep:
                                                                monkeypatch):
         # The nonlinearity tables and the frozen stiffness never move here,
         # so each step takes one chord correction from u^n, with a kept wave
-        # factor that is exact.  The wave system is factored once per leading weight lead2,
-        # and factored again after that step for the steps that keep it (a
-        # BDF2 run's Euler factor serves its first step only); the heat
-        # system is factored once per leading weight lead1.  The states are
+        # factor that is exact.  The wave system is factored once per leading
+        # weight lead2 (a BDF2 run's Euler factor serves its first step only),
+        # and so is the heat system per leading weight lead1.  The states are
         # bit-identical to those of a fresh wave factor per step.
         space = small_space(6)
         z = np.zeros(space.n_dofs)
@@ -273,7 +272,7 @@ class TestWaveStep:
         calls = count_factorizations(monkeypatch)
         result = run_simulation(space, scheme=scheme, heat=heat, tau=0.05, n_steps=4, **kwargs)
         assert [rep.iterations for rep in result.reports] == [1, 1, 1, 1]
-        wave = [1 + 1, 0, 0, 0] if scheme_name == "euler" else [1, 1 + 1, 0, 0]
+        wave = [1, 0, 0, 0] if scheme_name == "euler" else [1, 1, 0, 0]
         heat_factors = [1, 0, 0, 0] if scheme_name == "euler" else [1, 1, 0, 0]
         assert ([rep.factorizations for rep in result.reports]
                 == [w + h for w, h in zip(wave, heat_factors)])
@@ -337,12 +336,29 @@ class TestWaveStep:
         calls = count_factorizations(monkeypatch)
         result = run_simulation(space, scheme=BDF2, **kwargs)
         factorizations = [rep.factorizations for rep in result.reports]
-        # Euler's step 1, then BDF2's first step, its placement and heat factor
-        assert factorizations[:2] == [2, 3]
+        # Euler's step 1, then BDF2's first step: a wave and a heat factor each
+        assert factorizations[:2] == [2, 2]
         assert 0 in factorizations[2:]  # a step on the kept factor
         assert len(calls) == sum(factorizations)
         for got, want in zip(result.state.u, expected.u):
             assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+    def test_frequent_refreshes_cost_no_more_than_fresh_factors(self, monkeypatch):
+        # The model of the tests above with a refresh ratio that fires on
+        # most stale steps: each new factor is made once, by its step, so
+        # the run makes at most the fresh-factor count (a wave factor per
+        # step plus the Euler and BDF2 heat factors).
+        model = TissueModel(speed_coeffs=(1.0,), ambient=0.0, density=1.0, b_over_2a=0.0)
+        space = small_space(6)
+        monkeypatch.setattr(stepping, "_CHORD_REFRESH", 0.1)
+        calls = count_factorizations(monkeypatch)
+        n_steps = 6
+        result = run_simulation(
+            space, scheme=BDF2, variant=WESTERVELT, model=model, heat=HeatParams(1.0, 1e-5),
+            tau=0.05, n_steps=n_steps, u0=0.2 * fem.nodal_interpolate(space, SINE_INITIAL).values,
+            u1=fem.nodal_interpolate(space, SINE_VELOCITY).values, theta0=np.zeros(space.n_dofs))
+        assert len(calls) == sum(rep.factorizations for rep in result.reports)
+        assert len(calls) <= n_steps + 2
 
     def test_stalled_stale_factor_is_refreshed(self, monkeypatch):
         # A base factored at rest (n1 = 1) used where n1 = 3: its chord
@@ -359,7 +375,7 @@ class TestWaveStep:
         def rest_base():
             base = ChordBase()
             wave_step(context(0.0), FixedPointConfig(), base)
-            assert base.lu is None and base.place() == 1
+            assert base.lu is not None and base.lead2 == EULER.lead2
             return base
 
         fp = FixedPointConfig(tol=1e-13)
@@ -765,6 +781,16 @@ class TestRunSimulation:
         with pytest.raises(ValueError, match="projection"):
             run_simulation(space, u0=SINE_INITIAL, u1=z, theta0=z,
                            projection="collocation", **kwargs)
+
+    def test_gradient_less_field_fails_before_ritz_factorization(self, monkeypatch):
+        space = small_space(4)
+        calls = count_factorizations(monkeypatch)
+        with pytest.raises(ValueError, match="theta0 has no gradient"):
+            run_simulation(
+                space, scheme=EULER, variant=LINEAR_WAVE, model=CONSTANT_MEDIUM,
+                heat=HeatParams(1.0, 0.0), tau=0.1, n_steps=2, u0=SINE_INITIAL,
+                u1=SINE_VELOCITY, theta0=ScalarField(SINE_INITIAL.fn), projection="ritz")
+        assert calls == []
 
     def test_bad_snapshot_index_fails_before_projection(self, monkeypatch):
         space = small_space(4)
