@@ -14,9 +14,11 @@ sum to one, so integrals are area * sum(w * f).
 Assembly weights and load sources are tables of values on the quadrature
 points, shape (cells, points), with a gradient table where the form
 needs one; analytic fields (ScalarField) serve initial data, projections
-and error norms.  Mass and load tables are einsum contractions; every
-stiffness form builds its local matrices with one GEMM against a table
-of reference basis products (see assemble_weighted_stiffness).  All
+and error norms.  Every element kernel (values, gradients, mass, load and
+stiffness forms, integrals) is one GEMM of per-cell data against a
+reference table that FEValues builds once per quadrature rule, or
+elementwise arithmetic (see assemble_weighted_stiffness); gradients meet
+the cells only through batched 2x2 products with their Jacobians.  All
 matrices share the space's one pattern, so a solver system is a sum of
 data arrays, restricted to the interior dofs by one gather
 (FESpace.interior_matrix).  A run's sources are tabulated once on the
@@ -366,26 +368,41 @@ def build_space(mesh: Mesh, degree: int) -> FESpace:
 
 
 class FEValues:
-    """Tabulated basis data for one (space, quadrature rule) pair."""
+    """Tabulated basis data for one (space, quadrature rule) pair.
+
+    Every element kernel is one GEMM of per-cell data against a reference
+    table built here, once per pair, or elementwise arithmetic on
+    (cells, points) tables.  The tables hold reference-cell data only;
+    points and gradients are mapped between the reference cell and the
+    cells by batched 2x2 products with the cells' Jacobians."""
 
     def __init__(self, space: FESpace, rule: QuadratureRule):
         self.space = space
         self.rule = rule
         self.phi, self._dphi_ref = lagrange_basis(space.degree, rule.points)  # reference tables
-        # physical quadrature points: (nt, nq, 2)
-        ref = rule.points[:, 1:]  # (xi, eta)
-        self.points = space._v0[:, None, :] + np.einsum("cij,qj->cqi", space._jac, ref)
+        # physical quadrature points v0 + J xi: (nt, nq, 2)
+        self.points = rule.points[:, 1:] @ space._jac.transpose(0, 2, 1)
+        self.points += space._v0[:, None, :]
         self.points.flags.writeable = False  # shared by every caller of the table
         self.weights = rule.weights
         self.areas = space.cell_areas
 
     @functools.cached_property
-    def dphi(self) -> np.ndarray:
-        """Physical gradients (nt, n_loc, nq, 2), tabulated on first use and
-        stored with the basis index fastest, so that gradient evaluation
-        contracts contiguous rows."""
-        dphi = np.einsum("cde,bqd->cbqe", self.space._inv_jac, self._dphi_ref, optimize=True)
-        return np.ascontiguousarray(dphi.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    def weighted_phi(self) -> np.ndarray:
+        """w_q phi_a(x_q), shape (nq, n_loc): the load kernel's table."""
+        return self.weights[:, None] * self.phi.T
+
+    @functools.cached_property
+    def weighted_dphi(self) -> np.ndarray:
+        """w_q d phi_a / d xi_d (x_q), shape (2 nq, n_loc), rows (q, d): the
+        gradient load kernel's table."""
+        return (self.weights[:, None] * self._dphi_ref).reshape(len(self.phi), -1).T
+
+    @functools.cached_property
+    def mass_products(self) -> np.ndarray:
+        """w_q phi_a(x_q) phi_b(x_q), shape (nq, n_loc**2): the mass kernel's table."""
+        table = self.weighted_phi[:, :, None] * self.phi.T[:, None, :]
+        return table.reshape(len(self.weights), -1)
 
     @functools.cached_property
     def reference_products(self) -> np.ndarray:
@@ -395,20 +412,29 @@ class FEValues:
         phi_a d1b, where dk is the derivative along reference axis k."""
         d0, d1 = self._dphi_ref[..., 0], self._dphi_ref[..., 1]  # (n_loc, nq)
         pairs = ((d0, d0), (d0, d1), (d1, d1), (self.phi, d0), (self.phi, d1))
-        table = np.stack([np.einsum("q,aq,bq->qab", self.weights, a, b) for a, b in pairs])
+        w = self.weights[:, None, None]
+        table = np.stack([w * a.T[:, :, None] * b.T[:, None, :] for a, b in pairs])
         table[1] += table[1].transpose(0, 2, 1)
         return table.reshape(5 * len(self.weights), -1)
 
     def fe_values(self, coeffs: np.ndarray) -> np.ndarray:
-        local = coeffs[self.space.cell_dofs]  # (nt, n_loc)
-        return np.einsum("cb,bq->cq", local, self.phi, optimize=True)
+        return coeffs[self.space.cell_dofs] @ self.phi
 
     def fe_gradients(self, coeffs: np.ndarray) -> np.ndarray:
-        local = coeffs[self.space.cell_dofs]
-        return np.einsum("cb,cbqe->cqe", local, self.dphi, optimize=True)
+        """Physical gradients (nt, nq, 2): the reference gradients, one GEMM
+        against the (n_loc, nq * 2) table of d phi / d xi, times J^{-1}."""
+        ref = coeffs[self.space.cell_dofs] @ self._dphi_ref.reshape(len(self.phi), -1)
+        return np.matmul(ref.reshape(self.points.shape), self.space._inv_jac)
 
     def integrate(self, cell_values: np.ndarray) -> float:
-        return float(np.einsum("c,q,cq->", self.areas, self.weights, cell_values, optimize=True))
+        return float(self.areas @ (cell_values @ self.weights))
+
+
+def _pointwise_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a . b at every point of two gradient tables, shapes (..., 2)."""
+    out = a[..., 0] * b[..., 0]
+    out += a[..., 1] * b[..., 1]
+    return out
 
 
 @dataclass
@@ -443,8 +469,8 @@ def assemble_mass(space: FESpace, weight=None, quad_degree: int | None = None) -
     fev = space.values(quad_degree)
     shape = fev.points.shape[:2]
     w_vals = np.ones(shape) if weight is None else _table(weight, shape, "mass weight")
-    local = np.einsum("q,cq,aq,bq->cab", fev.weights, w_vals, fev.phi, fev.phi, optimize=True)
-    local *= fev.areas[:, None, None]
+    local = w_vals @ fev.mass_products
+    local *= fev.areas[:, None]
     return space.matrix_pattern().assemble(local)
 
 
@@ -501,7 +527,7 @@ def assemble_load(space: FESpace, source, quad_degree: int | None = None) -> np.
     quadrature points, shape (nt, nq)."""
     fev = space.values(quad_degree)
     f_vals = _table(source, fev.points.shape[:2], "load source")
-    local = np.einsum("q,cq,aq->ca", fev.weights, f_vals, fev.phi, optimize=True)
+    local = f_vals @ fev.weighted_phi
     local *= fev.areas[:, None]
     return np.bincount(space.cell_dofs.ravel(), weights=local.ravel(), minlength=space.n_dofs)
 
@@ -534,12 +560,12 @@ def source_loads(space: FESpace, evaluator) -> Callable:
 
 def _gradient_load(space: FESpace, grad_table: np.ndarray) -> np.ndarray:
     """Load vector b_i = integral of g . grad phi_i for a table g of shape
-    (nt, nq, 2) on the assembly quadrature."""
+    (nt, nq, 2) on the assembly quadrature: g times J^{-T}, then one GEMM
+    against FEValues.weighted_dphi."""
     fev = space.values()
-    nt, nq = fev.points.shape[:2]
-    g = grad_table * (fev.areas[:, None] * fev.weights)[:, :, None]
-    d = fev.dphi.transpose(0, 2, 3, 1).reshape(nt, 2 * nq, -1)
-    local = np.matmul(g.reshape(nt, 1, 2 * nq), d)
+    ref = np.matmul(grad_table, space._inv_jac.transpose(0, 2, 1))
+    local = ref.reshape(len(ref), -1) @ fev.weighted_dphi
+    local *= fev.areas[:, None]
     return np.bincount(space.cell_dofs.ravel(), weights=local.ravel(), minlength=space.n_dofs)
 
 
@@ -599,7 +625,7 @@ def error_norms(u: FEFunction, exact: ScalarField | None, t: float = 0.0,
     l2 = math.sqrt(max(fev.integrate(vals * vals), 0.0))
     if not have_grad:
         return l2, math.nan, math.nan
-    g2 = np.einsum("cqe,cqe->cq", grads, grads)
+    g2 = _pointwise_dot(grads, grads)
     h1 = math.sqrt(max(fev.integrate(g2), 0.0))
     l6 = max(fev.integrate(g2 * g2 * g2), 0.0) ** (1.0 / 6.0)
     return l2, h1, l6

@@ -22,6 +22,7 @@ __all__ = [
     "MeshFormatError",
     "unit_square_mesh",
     "focused_domain_mesh",
+    "focused_domain_cells",
     "number_edges",
     "mirror_vertex_map",
     "load_mesh",
@@ -35,6 +36,9 @@ __all__ = [
 X_LEFT = -0.03
 Y_HALF = 0.04
 ARC_RADIUS = 0.05
+# The most cells focused_domain_mesh builds: about 22 times the 44,700 of
+# the shipped h_target = 7.6e-4, which puts the smallest h_target near 1.6e-4.
+MAX_CELLS = 1_000_000
 
 
 class MeshFormatError(ValueError):
@@ -168,6 +172,29 @@ def unit_square_mesh(n: int) -> Mesh:
     return Mesh(vertices, triangles)
 
 
+def _focused_grid(h_target: float) -> tuple:
+    """Columns m and rows n of focused_domain_mesh's grid, 2 m n cells, for
+    an h_target whose mesh stays within MAX_CELLS.  Each count is clamped at
+    1e18, so that no h_target overflows the arithmetic."""
+    if not (0.0 < h_target < ARC_RADIUS):
+        raise ValueError(f"h_target must lie in (0, {ARC_RADIUS}), got {h_target!r}")
+    step = h_target / math.sqrt(2.0)
+    m = max(2, math.ceil(min((ARC_RADIUS - X_LEFT) / step, 1e18)))
+    n = max(2, math.ceil(min(2.0 * Y_HALF / step, 1e18)))
+    n += n % 2
+    if 2 * m * n > MAX_CELLS:
+        raise ValueError(f"h_target = {h_target!r} would mesh {2 * m * n:,} cells, "
+                         f"above the cap of MAX_CELLS = {MAX_CELLS:,}")
+    return m, n
+
+
+def focused_domain_cells(h_target: float) -> int:
+    """Cell count of focused_domain_mesh(h_target), found without building
+    the mesh; ValueError where that would refuse h_target."""
+    m, n = _focused_grid(h_target)
+    return 2 * m * n
+
+
 def focused_domain_mesh(h_target: float) -> Mesh:
     """Structured boundary-fitted mesh of the focused-transducer domain.
 
@@ -179,16 +206,9 @@ def focused_domain_mesh(h_target: float) -> Mesh:
     axis, so the triangulation is invariant under (x1, x2) -> (x1, -x2).
     Cell counts are chosen so triangle diameters stay below 2*h_target.
     """
-    if not (0.0 < h_target < ARC_RADIUS):
-        raise ValueError(f"h_target must lie in (0, {ARC_RADIUS}), got {h_target!r}")
-
+    m, n = _focused_grid(h_target)
     width = ARC_RADIUS - X_LEFT  # widest slab, at x2 = 0
     height = 2.0 * Y_HALF
-    step = h_target / math.sqrt(2.0)
-    m = max(2, math.ceil(width / step))
-    n = max(2, math.ceil(height / step))
-    if n % 2:
-        n += 1
 
     # x2 levels, exactly antisymmetric: row j and row n-j are negations.
     half = np.arange(n // 2 + 1, dtype=np.float64) / n * height - Y_HALF

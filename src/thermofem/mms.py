@@ -153,7 +153,7 @@ class ManufacturedPair:
                         wave += k_k
                         amp = self.a1 * math.exp(self.rate1 * t) * _TWO_PI
                         g = _separable_grad(amp, s1, c1, s2, c2)
-                        g2 = np.einsum("...e,...e->...", g, g)
+                        g2 = fem._pointwise_dot(g, g)
                         g2 *= 2.0 * self.rate1
                         wave += g2
                 return wave

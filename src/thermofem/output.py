@@ -61,6 +61,13 @@ def _sample(space, ids, bary, values, n_points):
     return out
 
 
+def _rows(fmt: str, table) -> str:
+    """fmt (one line, ending in a newline) applied to every row of a table,
+    or every entry of a vector, with one % over the whole block."""
+    table = np.asarray(table)
+    return (fmt * len(table)) % tuple(table.ravel().tolist())
+
+
 def write_vtk(path, fields, title="coupled wave/heat snapshot") -> None:
     """Write named scalar fields sharing one space as a VTK 2.0 dataset.
 
@@ -76,37 +83,27 @@ def write_vtk(path, fields, title="coupled wave/heat snapshot") -> None:
 
     points, cells, ids, bary = _plot_geometry(space)
     n_points = len(points)
-    lines = [
-        "# vtk DataFile Version 2.0",
-        title,
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {n_points} double",
+    parts = [
+        f"# vtk DataFile Version 2.0\n{title}\nASCII\nDATASET UNSTRUCTURED_GRID\n"
+        f"POINTS {n_points} double\n",
+        _rows("%.17g %.17g 0\n", points),
+        f"CELLS {len(cells)} {4 * len(cells)}\n",
+        _rows("3 %d %d %d\n", cells),
+        f"CELL_TYPES {len(cells)}\n",
+        "5\n" * len(cells),
+        f"POINT_DATA {n_points}\n",
     ]
-    lines.extend(f"{p[0]:.17g} {p[1]:.17g} 0" for p in points)
-    lines.append(f"CELLS {len(cells)} {4 * len(cells)}")
-    lines.extend(f"3 {t[0]} {t[1]} {t[2]}" for t in cells)
-    lines.append(f"CELL_TYPES {len(cells)}")
-    lines.extend("5" for _ in range(len(cells)))
-    lines.append(f"POINT_DATA {n_points}")
     for name, f in fields:
-        vals = _sample(space, ids, bary, f.values, n_points)
-        lines.append(f"SCALARS {name} double 1")
-        lines.append("LOOKUP_TABLE default")
-        lines.extend(f"{v:.17g}" for v in vals)
+        parts.append(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+        parts.append(_rows("%.17g\n", _sample(space, ids, bary, f.values, n_points)))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("".join(parts))
 
 
 def write_snapshot_csv(path, u: FEFunction, theta: FEFunction) -> None:
     """Write both fields at the degree-of-freedom points as x1,x2,u,theta."""
     if theta.space is not u.space:
         raise ValueError("fields live on different spaces")
-    coords = u.space.dof_coords
-    lines = ["x1,x2,u,theta"]
-    lines.extend(
-        f"{coords[i, 0]:.17g},{coords[i, 1]:.17g},{u.values[i]:.17g},{theta.values[i]:.17g}"
-        for i in range(len(coords))
-    )
+    table = np.column_stack([u.space.dof_coords, u.values, theta.values])
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("x1,x2,u,theta\n" + _rows("%.17g,%.17g,%.17g,%.17g\n", table))

@@ -26,7 +26,7 @@ import numpy as np
 
 from .coefficients import (KUZNETSOV, LIVER_QUINTIC, WESTERVELT, derived_heat_params)
 from .fem import ScalarField, build_space, source_loads
-from .mesh import ARC_RADIUS, focused_domain_mesh
+from .mesh import ARC_RADIUS, focused_domain_cells, focused_domain_mesh
 from .output import write_snapshot_csv, write_vtk
 from .stepping import (FixedPointConfig, SimulationResult, run_simulation,
                        scheme_by_name, step_count, write_step_reports)
@@ -155,6 +155,7 @@ class ScenarioConfig:
             raise ValueError("example must be 2 or 3")
         if not 0.0 < self.h < ARC_RADIUS:
             raise ValueError(f"h must lie in (0, {ARC_RADIUS}), got {self.h!r}")
+        focused_domain_cells(self.h)
         if self.degree not in (1, 2, 3):
             raise ValueError("degree must be 1, 2 or 3")
         scheme_by_name(self.scheme)

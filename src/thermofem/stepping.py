@@ -257,7 +257,7 @@ class StepContext:
         # a(d1u, beta phi_i) as a load:
         # integral of beta grad d1u . grad phi_i + (grad d1u . grad beta) phi_i
         self.grad_d1u = self.fev.fe_gradients(self.d1u)
-        d1u_dot_theta = np.einsum("cqe,cqe->cq", self.grad_d1u, theta_grad)
+        d1u_dot_theta = fem._pointwise_dot(self.grad_d1u, theta_grad)
         self.sb_d1 = (fem._gradient_load(space, b_vals[:, :, None] * self.grad_d1u)
                       + fem.assemble_load(space, db * d1u_dot_theta))
         wave_load, self.heat_load = (None, None) if sources is None else sources(state.time + tau)
@@ -280,7 +280,7 @@ class StepContext:
             n1 = 1.0 + 2.0 * self.k_cell * ut_cell
             gu = fev.fe_gradients(u_vec)
             gut = (self.scheme.lead1 * gu - self.grad_d1u) / self.tau
-            n2 = 2.0 * np.einsum("cqe,cqe->cq", gu, gut)
+            n2 = 2.0 * fem._pointwise_dot(gu, gut)
         return n1, n2
 
 

@@ -86,6 +86,15 @@ class TestConfigParsing:
         assert main(["scenario", "--config", cfg, "--dry-run"]) == 2
         assert "snapshot" in capsys.readouterr().err
 
+    def test_tiny_h_rejected_before_meshing(self, tmp_path, capsys):
+        # h = 1e-9 would mesh about 2.6e16 cells; dry runs only, so a
+        # broken check can never start that mesh.
+        cfg = write_config(tmp_path, {"example": 3, "h": 1e-9})
+        assert main(["scenario", "--config", cfg, "--dry-run"]) == 2
+        assert "above the cap of MAX_CELLS = 1,000,000" in capsys.readouterr().err
+        cfg = write_config(tmp_path, {"example": 3, "h": 7.6e-4})
+        assert main(["scenario", "--config", cfg, "--dry-run"]) == 0
+
     def test_repeated_meshes_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, dict(TINY_MMS, meshes=[2, 2, 2]))
         assert main(["mms", "--config", cfg, "--dry-run"]) == 2

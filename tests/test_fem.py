@@ -215,8 +215,10 @@ class TestWeightedStiffness:
         w_vals = rng.standard_normal((nt, nq))
         w_grads = rng.standard_normal((nt, nq, 2))
         a = assemble_weighted_stiffness(sp, (w_vals, w_grads)).to_dense()
-        local = np.einsum("q,cq,cbqe,caqe->cab", fev.weights, w_vals, fev.dphi, fev.dphi)
-        local += np.einsum("q,cbqe,cqe,aq->cab", fev.weights, fev.dphi, w_grads, fev.phi)
+        _, dphi_ref = fem.lagrange_basis(degree, fev.rule.points)
+        dphi = np.einsum("cde,bqd->cbqe", sp._inv_jac, dphi_ref)
+        local = np.einsum("q,cq,cbqe,caqe->cab", fev.weights, w_vals, dphi, dphi)
+        local += np.einsum("q,cbqe,cqe,aq->cab", fev.weights, dphi, w_grads, fev.phi)
         local *= fev.areas[:, None, None]
         ref = np.zeros((sp.n_dofs, sp.n_dofs))
         cd = sp.cell_dofs
@@ -437,6 +439,94 @@ class TestQuadraturePoints:
             fev.points[0, 0, 0] = 0.5
         with pytest.raises(ValueError):
             fev.points.reshape(-1, 2)[0] = 0.5
+
+
+def distorted_square(n=4, seed=3):
+    """unit_square_mesh(n) with its interior vertices moved at random, so
+    every cell has its own Jacobian."""
+    mesh = unit_square_mesh(n)
+    v = mesh.vertices.copy()
+    inner = np.setdiff1d(np.arange(len(v)), mesh.boundary_vertices)
+    v[inner] += np.random.default_rng(seed).uniform(-0.2, 0.2, (inner.size, 2)) / n
+    return Mesh(v, mesh.triangles)
+
+
+class TestKernelOracles:
+    """Each GEMM kernel of FEValues and the assemblers against its einsum
+    definition, on the assembly and on the error-degree rule."""
+
+    @staticmethod
+    def make_case(degree, rule, rng):
+        """(space, FEValues, physical gradient table (nt, n_loc, nq, 2), rng)."""
+        sp = build_space(distorted_square(), degree)
+        fev = sp.values(sp.assembly_degree if rule == "assembly" else sp.error_degree)
+        verts = sp.mesh.vertices[sp.mesh.triangles]  # (nt, 3, 2)
+        jac = np.stack([verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0]], axis=2)
+        _, dphi_ref = fem.lagrange_basis(degree, fev.rule.points)
+        dphi = np.einsum("cde,bqd->cbqe", np.linalg.inv(jac), dphi_ref)
+        return sp, fev, dphi, rng
+
+    @pytest.fixture(params=[(p, rule) for p in (1, 2, 3) for rule in ("assembly", "error")],
+                    ids=lambda c: f"p{c[0]}-{c[1]}")
+    def case(self, request, rng):
+        return self.make_case(*request.param, rng)
+
+    @staticmethod
+    def close(got, want):
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    @staticmethod
+    def scatter(sp, local):
+        out = np.zeros((sp.n_dofs,) * (local.ndim - 1))
+        cd = sp.cell_dofs
+        np.add.at(out, (cd,) if local.ndim == 2 else (cd[:, :, None], cd[:, None, :]), local)
+        return out
+
+    def test_points(self, case):
+        sp, fev, _, _ = case
+        verts = sp.mesh.vertices[sp.mesh.triangles]
+        self.close(fev.points, np.einsum("qk,ckd->cqd", fev.rule.points, verts))
+
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_gradient_load(self, degree, rng):
+        # assembled on the assembly rule only
+        sp, fev, dphi, rng = self.make_case(degree, "assembly", rng)
+        g = rng.standard_normal(fev.points.shape)
+        local = np.einsum("c,q,cqe,cbqe->cb", fev.areas, fev.weights, g, dphi)
+        self.close(fem._gradient_load(sp, g), self.scatter(sp, local))
+
+    def test_fe_values(self, case):
+        sp, fev, _, rng = case
+        c = rng.standard_normal(sp.n_dofs)
+        self.close(fev.fe_values(c), np.einsum("cb,bq->cq", c[sp.cell_dofs], fev.phi))
+
+    def test_fe_gradients(self, case):
+        sp, fev, dphi, rng = case
+        c = rng.standard_normal(sp.n_dofs)
+        self.close(fev.fe_gradients(c), np.einsum("cb,cbqe->cqe", c[sp.cell_dofs], dphi))
+
+    def test_assemble_load(self, case):
+        sp, fev, _, rng = case
+        f = rng.standard_normal(fev.points.shape[:2])
+        local = np.einsum("c,q,cq,aq->ca", fev.areas, fev.weights, f, fev.phi)
+        self.close(assemble_load(sp, f, quad_degree=fev.rule.degree), self.scatter(sp, local))
+
+    def test_assemble_mass(self, case):
+        sp, fev, _, rng = case
+        w = rng.standard_normal(fev.points.shape[:2])
+        local = np.einsum("c,q,cq,aq,bq->cab", fev.areas, fev.weights, w, fev.phi, fev.phi)
+        got = assemble_mass(sp, w, quad_degree=fev.rule.degree).to_dense()
+        self.close(got, self.scatter(sp, local))
+
+    def test_integrate(self, case):
+        _, fev, _, rng = case
+        v = rng.standard_normal(fev.points.shape[:2])
+        self.close(np.array(fev.integrate(v)), np.einsum("c,q,cq->", fev.areas, fev.weights, v))
+
+    def test_pointwise_dot(self, case):
+        _, fev, _, rng = case
+        a, b = rng.standard_normal((2,) + fev.points.shape)
+        self.close(fem._pointwise_dot(a, b), np.einsum("cqe,cqe->cq", a, b))
 
 
 class TestFEFunction:

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from thermofem.mesh import (ARC_RADIUS, Mesh, MeshFormatError, X_LEFT, Y_HALF,
-                            focused_domain_mesh, load_mesh, mirror_vertex_map,
-                            number_edges, save_mesh, unit_square_mesh)
+from thermofem.mesh import (ARC_RADIUS, MAX_CELLS, Mesh, MeshFormatError, X_LEFT,
+                            Y_HALF, focused_domain_cells, focused_domain_mesh, load_mesh,
+                            mirror_vertex_map, number_edges, save_mesh, unit_square_mesh)
 
 # analytic area of the focused domain: slab of width 0.06 joined with the
 # circular cap right of x1 = 0.03 (the slab corners lie exactly on the arc)
@@ -98,6 +98,15 @@ class TestFocusedDomain:
             focused_domain_mesh(-1e-3)
         with pytest.raises(ValueError):
             focused_domain_mesh(0.05)
+
+    def test_cell_count_without_building(self):
+        for h in (0.049, 4e-3, 2.5e-3):
+            assert focused_domain_cells(h) == focused_domain_mesh(h).n_triangles
+        assert focused_domain_cells(7.6e-4) == 44700
+        # Counted, never built: the cap refuses these before any array.
+        for h in (1.6e-4, 1e-9, 5e-324):
+            with pytest.raises(ValueError, match=f"cap of MAX_CELLS = {MAX_CELLS:,}"):
+                focused_domain_cells(h)
 
     def test_vertices_inside_domain(self):
         m = focused_domain_mesh(3e-3)

@@ -496,6 +496,18 @@ class TestStudyBookkeeping:
         with pytest.raises(ValueError, match="max_iter"):
             ConvergenceConfig(fp_max_iter=0)
 
+    @pytest.mark.parametrize("variant,scheme", [("kuznetsov", "euler"), ("westervelt", "bdf2")])
+    def test_study_calls_no_einsum(self, variant, scheme, monkeypatch):
+        # Every element kernel is a GEMM against a per-rule table; an einsum
+        # would work out its contraction path again on every call.
+        def einsum(*args, **kwargs):
+            raise AssertionError("np.einsum called by a study")
+
+        monkeypatch.setattr(np, "einsum", einsum)
+        cfg = ConvergenceConfig(variant=variant, scheme=scheme, meshes=(2, 4), tau=0.125,
+                                final_time=0.375)
+        assert [row.n for row in convergence_study(cfg).rows] == [2, 4]
+
     def test_parallel_study_matches_serial(self):
         cfg = ConvergenceConfig(meshes=(2, 4), tau=0.25, final_time=0.5)
         serial = convergence_study(cfg, jobs=1)

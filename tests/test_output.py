@@ -6,6 +6,7 @@ from the legacy-format rules, and round-tripped against the CSV path.
 import numpy as np
 import pytest
 
+from thermofem import output
 from thermofem.fem import FEFunction, build_space
 from thermofem.mesh import Mesh, unit_square_mesh
 from thermofem.output import write_snapshot_csv, write_vtk
@@ -251,3 +252,51 @@ class TestCsv:
         theta = FEFunction(s2, np.zeros(s2.n_dofs))
         with pytest.raises(ValueError, match="different spaces"):
             write_snapshot_csv(tmp_path / "s.csv", u, theta)
+
+
+def per_row_vtk(fields, title="coupled wave/heat snapshot"):
+    """The VTK text formatted one row at a time, one f-string per line."""
+    space = fields[0][1].space
+    points, cells, ids, bary = output._plot_geometry(space)
+    lines = ["# vtk DataFile Version 2.0", title, "ASCII", "DATASET UNSTRUCTURED_GRID",
+             f"POINTS {len(points)} double"]
+    lines.extend(f"{p[0]:.17g} {p[1]:.17g} 0" for p in points)
+    lines.append(f"CELLS {len(cells)} {4 * len(cells)}")
+    lines.extend(f"3 {t[0]} {t[1]} {t[2]}" for t in cells)
+    lines.append(f"CELL_TYPES {len(cells)}")
+    lines.extend("5" for _ in range(len(cells)))
+    lines.append(f"POINT_DATA {len(points)}")
+    for name, f in fields:
+        vals = output._sample(space, ids, bary, f.values, len(points))
+        lines.extend([f"SCALARS {name} double 1", "LOOKUP_TABLE default"])
+        lines.extend(f"{v:.17g}" for v in vals)
+    return "\n".join(lines) + "\n"
+
+
+def per_row_csv(u, theta):
+    """The CSV text formatted one row at a time, one f-string per line."""
+    c = u.space.dof_coords
+    lines = ["x1,x2,u,theta"]
+    lines.extend(f"{c[i, 0]:.17g},{c[i, 1]:.17g},{u.values[i]:.17g},{theta.values[i]:.17g}"
+                 for i in range(len(c)))
+    return "\n".join(lines) + "\n"
+
+
+class TestBlockFormatting:
+    """The writers format whole blocks with one %; the bytes are those of
+    per-row formatting, special values included."""
+
+    @pytest.mark.parametrize("degree", [1, 2], ids=["p1", "p2-subtriangulated"])
+    def test_bytes_equal_per_row_formatting(self, tmp_path, rng, degree):
+        space = build_space(unit_square_mesh(3), degree)
+        u, theta = fields_on(space, rng)
+        u.values *= 10.0 ** rng.integers(-300, 300, space.n_dofs)
+        special = [0.0, -0.0, 1e-310, -1e300, 0.1, 1.0 / 3.0, np.inf, -np.inf, np.nan]
+        theta.values[:len(special)] = special
+        fields = [("pressure", u), ("temperature", theta)]
+        with np.errstate(invalid="ignore"):  # sampling inf and nan
+            write_vtk(tmp_path / "s.vtk", fields)
+            expected = per_row_vtk(fields)
+        write_snapshot_csv(tmp_path / "s.csv", u, theta)
+        assert (tmp_path / "s.vtk").read_bytes() == expected.encode()
+        assert (tmp_path / "s.csv").read_bytes() == per_row_csv(u, theta).encode()

@@ -664,6 +664,22 @@ class TestRunSimulation:
         assert np.all(result.max_theta == 0.0)
         assert all(rep.iterations == 1 for rep in result.reports)
 
+    @pytest.mark.parametrize("scheme_name", ["euler", "bdf2"])
+    @pytest.mark.parametrize("variant", [WESTERVELT, KUZNETSOV], ids=["w", "k"])
+    def test_step_loop_calls_no_einsum(self, scheme_name, variant, monkeypatch):
+        # A fresh space, so its tables are built under the patch too.
+        def einsum(*args, **kwargs):
+            raise AssertionError("np.einsum called by a run")
+
+        monkeypatch.setattr(np, "einsum", einsum)
+        space = small_space(4)
+        result = run_simulation(
+            space, scheme=scheme_by_name(scheme_name), variant=variant,
+            model=LIVER_QUADRATIC, heat=HeatParams(1.0, 1e-5), tau=0.02, n_steps=3,
+            u0=SINE_INITIAL, u1=SINE_VELOCITY, theta0=SINE_INITIAL, projection="ritz")
+        assert len(result.reports) == 3
+        assert all(rep.iterations > 1 for rep in result.reports)
+
     def test_bdf2_startup_uses_euler_once(self):
         space = small_space(4)
         result = run_simulation(
