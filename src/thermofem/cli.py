@@ -184,16 +184,16 @@ def _cmd_scenario(args) -> int:
 def _cmd_meshgen(args) -> int:
     if not math.isfinite(args.parameter):
         raise ConfigError(f"--parameter must be finite, got {args.parameter!r}")
-    if args.kind == "unit-square":
-        n = int(args.parameter)
-        if n != args.parameter or n < 1:
-            raise ConfigError("unit-square parameter must be a positive integer")
-        mesh = unit_square_mesh(n)
-    else:
-        try:
+    try:
+        if args.kind == "unit-square":
+            n = int(args.parameter)
+            if n != args.parameter or n < 1:
+                raise ConfigError("unit-square parameter must be a positive integer")
+            mesh = unit_square_mesh(n)
+        else:
             mesh = focused_domain_mesh(args.parameter)
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
     root = _output_root(args)
     os.makedirs(root, exist_ok=True)
     path = os.path.join(root, args.out)

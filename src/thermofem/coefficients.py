@@ -111,8 +111,9 @@ def _dspeed(model: TissueModel, theta) -> np.ndarray:
 
 
 class SpeedTable:
-    """The sound speed c, its square q = c^2 and, when asked for, the slope
-    c' on one temperature table.
+    """The sound speed c, its square q = c^2 and the slope c' on one
+    temperature table; c' is evaluated once, on the first derivative
+    request.
 
     Every law below is a function of c, q and c', so a caller that needs
     several of them on the same table evaluates the polynomial and the
@@ -120,13 +121,22 @@ class SpeedTable:
     per call; the benchmark's coefficient-table span wraps them.
     """
 
-    __slots__ = ("model", "c", "c2", "dc")
+    __slots__ = ("model", "_theta", "c", "c2", "_dc")
 
-    def __init__(self, model: TissueModel, theta, slope: bool = False):
+    def __init__(self, model: TissueModel, theta):
         self.model = model
+        self._theta = theta
         self.c = speed_of_sound(model, theta)
         self.c2 = self.c * self.c
-        self.dc = _dspeed(model, theta) if slope else None
+        self._dc = None
+
+    @property
+    def dc(self) -> np.ndarray:
+        """The slope c'(theta)."""
+        if self._dc is None:
+            self._dc = _dspeed(self.model, self._theta)
+            self._theta = None  # theta serves only to make the slope
+        return self._dc
 
     def q(self, derivative: bool = False):
         """Squared speed q = c^2, the table's own array (not to be modified
@@ -170,12 +180,12 @@ class SpeedTable:
 
 def q_of_theta(model: TissueModel, theta, derivative: bool = False):
     """Squared speed q = c^2; optionally also dq/dtheta = 2 c c'."""
-    return SpeedTable(model, theta, slope=derivative).q(derivative)
+    return SpeedTable(model, theta).q(derivative)
 
 
 def beta_of_theta(model: TissueModel, theta, derivative: bool = False):
     """Damping beta = 2 * alpha * c^3 / omega^2; optionally d(beta)/dtheta."""
-    return SpeedTable(model, theta, slope=derivative).beta(derivative)
+    return SpeedTable(model, theta).beta(derivative)
 
 
 def k_coefficients(model: TissueModel, theta) -> tuple[np.ndarray, np.ndarray]:

@@ -1,10 +1,14 @@
 """Lagrange finite elements on triangles: spaces, quadrature, assembly.
 
 Continuous P1/P2/P3 spaces with homogeneous Dirichlet boundary handled by
-degree-of-freedom elimination.  Degrees of freedom are numbered vertices
-first, then edge nodes (edges ordered lexicographically by their vertex
-pair, nodes within an edge from the smaller vertex), then cell interiors,
-so the numbering is reproducible for a given mesh.
+degree-of-freedom elimination.  The element is defined once, by the
+barycentric lattice indices of its local nodes (_local_nodes): the shape
+functions, the dof numbering, the dof coordinates and the Dirichlet set
+are all derived from that table, for every degree.  Degrees of freedom
+are numbered vertices first, then edge nodes (edges ordered
+lexicographically by their vertex pair, nodes within an edge from the
+smaller vertex), then cell interiors, so the numbering is reproducible
+for a given mesh.
 
 Quadrature rules are conical products of Gauss-Legendre and Gauss-Jacobi
 rules collapsed onto the triangle; a rule of requested degree d integrates
@@ -28,6 +32,7 @@ error-degree points and assembled from those tables at each step
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -124,161 +129,102 @@ def triangle_rule(degree: int) -> QuadratureRule:
     return rule
 
 
+_LOCAL_EDGES = ((0, 1), (0, 2), (1, 2))
+
+
+def _local_nodes(degree: int) -> np.ndarray:
+    """The degree-p element's local nodes as barycentric lattice indices.
+
+    Row a is the index alpha (|alpha| = p) of local node a, whose point is
+    alpha / p: vertices 0, 1, 2; then the p - 1 nodes of each local edge
+    (0,1), (0,2), (1,2), counted from the edge's first local vertex; then
+    the interior nodes.  This is the only place that knows the local
+    layout: the basis, the dof numbering, the dof coordinates and the
+    Dirichlet set are all derived from it.
+    """
+    if degree not in (1, 2, 3):
+        raise ValueError(f"polynomial degree must be 1, 2 or 3, got {degree!r}")
+    p = degree
+    rows = [[p * (m == k) for m in range(3)] for k in range(3)]
+    for a, b in _LOCAL_EDGES:
+        rows += [[p - j if m == a else j if m == b else 0 for m in range(3)]
+                 for j in range(1, p)]
+    rows += [alpha for alpha in itertools.product(range(1, p), repeat=3) if sum(alpha) == p]
+    return np.array(rows, dtype=np.int64)
+
+
 def lagrange_basis(degree: int, bary: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Shape functions and reference gradients at barycentric points.
 
-    Returns (phi, dphi) with shapes (n_basis, nq) and (n_basis, nq, 2).
-    Local ordering: vertices 0,1,2; then edge nodes on local edges
-    (0,1), (0,2), (1,2) (two per edge for cubic, ordered toward the first
-    vertex of the pair); then the interior node for cubics.
+    Returns (phi, dphi) with shapes (n_basis, nq) and (n_basis, nq, 2), in
+    the local order of _local_nodes.  The function of the node with lattice
+    index alpha is phi = prod_m prod_{s < alpha_m} (p lambda_m - s) / (s + 1),
+    which is one at its own node and zero at the others; its gradient
+    follows by the product rule through the gradients of the lambda_m.
     """
-    bary = np.asarray(bary, dtype=np.float64)
-    l0, l1, l2 = bary[:, 0], bary[:, 1], bary[:, 2]
-    lam = (l0, l1, l2)
-    nq = bary.shape[0]
-
-    def grad_from_dlam(dlam_list):
-        # dlam_list: per basis function, tuple of 3 arrays dN/dlambda_j
-        n = len(dlam_list)
-        out = np.zeros((n, nq, 2))
-        for b, parts in enumerate(dlam_list):
-            for j in range(3):
-                out[b] += np.multiply.outer(parts[j], _DLAMBDA[j])
-        return out
-
-    zeros = np.zeros(nq)
-    if degree == 1:
-        phi = np.stack([l0, l1, l2])
-        dlam = [
-            (np.ones(nq), zeros, zeros),
-            (zeros, np.ones(nq), zeros),
-            (zeros, zeros, np.ones(nq)),
-        ]
-        return phi, grad_from_dlam(dlam)
-
-    if degree == 2:
-        phi = np.stack([
-            l0 * (2 * l0 - 1), l1 * (2 * l1 - 1), l2 * (2 * l2 - 1),
-            4 * l0 * l1, 4 * l0 * l2, 4 * l1 * l2,
-        ])
-        dlam = [
-            (4 * l0 - 1, zeros, zeros),
-            (zeros, 4 * l1 - 1, zeros),
-            (zeros, zeros, 4 * l2 - 1),
-            (4 * l1, 4 * l0, zeros),
-            (4 * l2, zeros, 4 * l0),
-            (zeros, 4 * l2, 4 * l1),
-        ]
-        return phi, grad_from_dlam(dlam)
-
-    if degree == 3:
-        def vert(l):
-            return 0.5 * l * (3 * l - 1) * (3 * l - 2)
-
-        def dvert(l):
-            return 0.5 * (27 * l * l - 18 * l + 2)
-
-        def edge(la, lb):
-            return 4.5 * la * lb * (3 * la - 1)
-
-        phi = np.stack([
-            vert(l0), vert(l1), vert(l2),
-            edge(l0, l1), edge(l1, l0),   # edge (0,1): node near 0, node near 1
-            edge(l0, l2), edge(l2, l0),   # edge (0,2)
-            edge(l1, l2), edge(l2, l1),   # edge (1,2)
-            27 * l0 * l1 * l2,
-        ])
-
-        def dedge(la, lb):
-            # d/dla and d/dlb of 4.5*la*lb*(3la - 1)
-            return 4.5 * lb * (6 * la - 1), 4.5 * la * (3 * la - 1)
-
-        d01a_a, d01a_b = dedge(l0, l1)
-        d01b_b, d01b_a = dedge(l1, l0)
-        d02a_a, d02a_c = dedge(l0, l2)
-        d02b_c, d02b_a = dedge(l2, l0)
-        d12a_b, d12a_c = dedge(l1, l2)
-        d12b_c, d12b_b = dedge(l2, l1)
-        dlam = [
-            (dvert(l0), zeros, zeros),
-            (zeros, dvert(l1), zeros),
-            (zeros, zeros, dvert(l2)),
-            (d01a_a, d01a_b, zeros),
-            (d01b_a, d01b_b, zeros),
-            (d02a_a, zeros, d02a_c),
-            (d02b_a, zeros, d02b_c),
-            (zeros, d12a_b, d12a_c),
-            (zeros, d12b_b, d12b_c),
-            (27 * l1 * l2, 27 * l0 * l2, 27 * l0 * l1),
-        ]
-        return phi, grad_from_dlam(dlam)
-
-    raise ValueError(f"polynomial degree must be 1, 2 or 3, got {degree!r}")
-
-
-_LOCAL_EDGES = ((0, 1), (0, 2), (1, 2))
+    nodes = _local_nodes(degree)
+    bary = np.asarray(bary, dtype=np.float64).T  # (3, nq)
+    # ell[k] = prod_{s < k} (p lambda - s) / (s + 1) and its derivative in
+    # lambda, for k = 0..p, each of shape (3, nq).
+    ell = [np.ones_like(bary)]
+    dell = [np.zeros_like(bary)]
+    for s in range(degree):
+        factor = (degree * bary - s) / (s + 1)
+        dell.append(dell[s] * factor + ell[s] * (degree / (s + 1)))
+        ell.append(ell[s] * factor)
+    m = np.arange(3)
+    lam = np.array(ell)[nodes, m]  # (n_basis, 3, nq): factor m of each function
+    dlam = np.array(dell)[nodes, m]
+    phi = lam[:, 0] * lam[:, 1] * lam[:, 2]
+    dlam[:, 0] *= lam[:, 1] * lam[:, 2]
+    dlam[:, 1] *= lam[:, 0] * lam[:, 2]
+    dlam[:, 2] *= lam[:, 0] * lam[:, 1]
+    return phi, dlam.transpose(0, 2, 1) @ _DLAMBDA
 
 
 class FESpace:
     """Continuous Lagrange space of degree 1, 2 or 3 on a triangle mesh."""
 
     def __init__(self, mesh: Mesh, degree: int):
-        if degree not in (1, 2, 3):
-            raise ValueError(f"polynomial degree must be 1, 2 or 3, got {degree!r}")
+        nodes = _local_nodes(degree)
         self.mesh = mesh
         self.degree = degree
 
         tris = mesh.triangles
         nv = mesh.n_vertices
         nt = mesh.n_triangles
-        n_loc = (degree + 1) * (degree + 2) // 2
+        per_edge = degree - 1
+        n_inner = len(nodes) - 3 - 3 * per_edge
 
-        edges, edge_of, edge_counts = number_edges(tris[:, _LOCAL_EDGES].reshape(-1, 2), nv)
-        edge_of = edge_of.reshape(nt, 3)
-        ne = len(edges)
-        self._edges = edges
-
-        per_edge = {1: 0, 2: 1, 3: 2}[degree]
-        n_interior_nodes = 1 if degree == 3 else 0
-        self.n_dofs = nv + per_edge * ne + n_interior_nodes * nt
-
-        cell_dofs = np.empty((nt, n_loc), dtype=np.int64)
+        cell_dofs = np.empty((nt, len(nodes)), dtype=np.int64)
         cell_dofs[:, :3] = tris
-        if degree == 2:
-            cell_dofs[:, 3:6] = nv + edge_of
-        elif degree == 3:
-            for k, (a, b) in enumerate(_LOCAL_EDGES):
-                eid = edge_of[:, k]
-                asc = tris[:, a] < tris[:, b]  # local first vertex is the global smaller one
-                base = nv + 2 * eid
-                cell_dofs[:, 3 + 2 * k] = np.where(asc, base, base + 1)
-                cell_dofs[:, 4 + 2 * k] = np.where(asc, base + 1, base)
-            cell_dofs[:, 9] = nv + 2 * ne + np.arange(nt)
-        self.cell_dofs = cell_dofs
-
-        coords = np.empty((self.n_dofs, 2))
-        coords[:nv] = mesh.vertices
-        if degree == 2:
-            coords[nv:] = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
-        elif degree == 3:
-            va = mesh.vertices[edges[:, 0]]
-            vb = mesh.vertices[edges[:, 1]]
-            coords[nv : nv + 2 * ne : 2] = va + (vb - va) / 3.0
-            coords[nv + 1 : nv + 2 * ne : 2] = va + 2.0 * (vb - va) / 3.0
-            coords[nv + 2 * ne :] = mesh.vertices[tris].mean(axis=1)
-        self.dof_coords = coords
-
+        n_edge_dofs = 0
         # Dirichlet set: vertex dofs on the boundary plus edge dofs of
         # boundary edges (cell-interior dofs never touch the boundary).
-        boundary_edge = edge_counts == 1
-        bdofs = [mesh.boundary_vertices]
-        if degree == 2:
-            bdofs.append(nv + np.flatnonzero(boundary_edge))
-        elif degree == 3:
-            be = np.flatnonzero(boundary_edge)
-            bdofs.append(nv + 2 * be)
-            bdofs.append(nv + 2 * be + 1)
-        self.boundary_dofs = np.unique(np.concatenate(bdofs))
+        boundary_edge_dofs = np.empty(0, dtype=np.int64)
+        if per_edge:
+            pairs = tris[:, _LOCAL_EDGES]  # (nt, 3, 2)
+            edges, edge_of, edge_counts = number_edges(pairs.reshape(-1, 2), nv)
+            n_edge_dofs = per_edge * len(edges)
+            # Local edge node j is the edge's global node j (counted from its
+            # smaller vertex) when the local first vertex is the smaller one,
+            # and node per_edge - 1 - j otherwise.
+            j = np.arange(per_edge)
+            node = np.where((pairs[..., 0] < pairs[..., 1])[..., None], j, per_edge - 1 - j)
+            cell_dofs[:, 3 : 3 + 3 * per_edge] = (
+                nv + per_edge * edge_of.reshape(nt, 3, 1) + node).reshape(nt, -1)
+            be = np.flatnonzero(edge_counts == 1)
+            boundary_edge_dofs = (nv + per_edge * be[:, None] + j).ravel()
+        first_inner = nv + n_edge_dofs  # then n_inner dofs per cell, cell by cell
+        self.n_dofs = first_inner + n_inner * nt
+        cell_dofs[:, 3 + 3 * per_edge :] = np.arange(first_inner, self.n_dofs).reshape(nt, n_inner)
+        self.cell_dofs = cell_dofs
+
+        self.dof_coords = np.empty((self.n_dofs, 2))
+        self.dof_coords[cell_dofs] = (nodes / degree) @ mesh.vertices[tris]
+
+        # Both parts are sorted and the edge dofs follow the vertex dofs.
+        self.boundary_dofs = np.concatenate([mesh.boundary_vertices, boundary_edge_dofs])
         mask = np.ones(self.n_dofs, dtype=bool)
         mask[self.boundary_dofs] = False
         self.interior_dofs = np.flatnonzero(mask)

@@ -21,6 +21,7 @@ __all__ = [
     "Mesh",
     "MeshFormatError",
     "unit_square_mesh",
+    "unit_square_cells",
     "focused_domain_mesh",
     "focused_domain_cells",
     "number_edges",
@@ -36,8 +37,10 @@ __all__ = [
 X_LEFT = -0.03
 Y_HALF = 0.04
 ARC_RADIUS = 0.05
-# The most cells focused_domain_mesh builds: about 22 times the 44,700 of
-# the shipped h_target = 7.6e-4, which puts the smallest h_target near 1.6e-4.
+# The most cells either generator builds, checked before any array is
+# made: about 22 times the 44,700 of the shipped focused h_target = 7.6e-4,
+# which puts the smallest h_target near 1.6e-4 and the largest unit-square
+# subdivision count at 707.
 MAX_CELLS = 1_000_000
 
 
@@ -154,8 +157,7 @@ def unit_square_mesh(n: int) -> Mesh:
     the diagonal from its lower-left to its upper-right corner, giving
     h_max = sqrt(2)/n.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"subdivision count must be a positive integer, got {n!r}")
+    unit_square_cells(n)
     n = int(n)
     side = np.arange(n + 1, dtype=np.float64) / n
     xx, yy = np.meshgrid(side, side, indexing="xy")
@@ -170,6 +172,18 @@ def unit_square_mesh(n: int) -> Mesh:
     upper = np.column_stack([v00, v11, v01])
     triangles = np.vstack([lower, upper])
     return Mesh(vertices, triangles)
+
+
+def unit_square_cells(n: int) -> int:
+    """Cell count 2 n^2 of unit_square_mesh(n), found without building the
+    mesh; ValueError where that would refuse n."""
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"subdivision count must be a positive integer, got {n!r}")
+    cells = 2 * int(n) ** 2
+    if cells > MAX_CELLS:
+        raise ValueError(f"n = {n!r} would mesh {cells:,} cells, "
+                         f"above the cap of MAX_CELLS = {MAX_CELLS:,}")
+    return cells
 
 
 def _focused_grid(h_target: float) -> tuple:
@@ -207,7 +221,6 @@ def focused_domain_mesh(h_target: float) -> Mesh:
     Cell counts are chosen so triangle diameters stay below 2*h_target.
     """
     m, n = _focused_grid(h_target)
-    width = ARC_RADIUS - X_LEFT  # widest slab, at x2 = 0
     height = 2.0 * Y_HALF
 
     # x2 levels, exactly antisymmetric: row j and row n-j are negations.
@@ -216,36 +229,21 @@ def focused_domain_mesh(h_target: float) -> Mesh:
     half[-1] = 0.0
     levels = np.concatenate([half, -half[-2::-1]])
 
-    cols = np.arange(m + 1, dtype=np.float64) / m
-    nv_row = m + 1
-    vertices = np.empty(((n + 1) * nv_row, 2), dtype=np.float64)
-    for j, y in enumerate(levels):
-        # Evaluate the slab width from |y| so mirrored rows match bitwise.
-        right = math.sqrt(ARC_RADIUS * ARC_RADIUS - abs(y) * abs(y))
-        x = X_LEFT + (right - X_LEFT) * cols
-        x[-1] = right  # arc column sits on the circle exactly
-        base = j * nv_row
-        vertices[base : base + nv_row, 0] = x
-        vertices[base : base + nv_row, 1] = y
+    # Slab widths from |x2|, so mirrored rows match bitwise; the arc column
+    # sits on the circle exactly.
+    right = np.sqrt(ARC_RADIUS * ARC_RADIUS - np.abs(levels) * np.abs(levels))
+    x = X_LEFT + (right - X_LEFT)[:, None] * (np.arange(m + 1, dtype=np.float64) / m)
+    x[:, -1] = right
+    vertices = np.column_stack([x.ravel(), np.repeat(levels, m + 1)])
 
-    tris = []
-    for j in range(n):
-        base0 = j * nv_row
-        base1 = (j + 1) * nv_row
-        for i in range(m):
-            a = base0 + i
-            b = base0 + i + 1
-            c = base1 + i + 1
-            d = base1 + i
-            if j >= n // 2:
-                # upper half: diagonal a-c
-                tris.append((a, b, c))
-                tris.append((a, c, d))
-            else:
-                # lower half: mirrored diagonal b-d
-                tris.append((a, b, d))
-                tris.append((b, c, d))
-    return Mesh(vertices, np.asarray(tris, dtype=np.int64))
+    # Grid cell (j, i) has corners a, b (row j) and d, c (row j + 1); the
+    # upper half splits it along a-c, the lower half along the mirrored b-d.
+    a = np.arange(n)[:, None] * (m + 1) + np.arange(m)
+    b, d = a + 1, a + m + 1
+    c = d + 1
+    upper = (np.arange(n) >= n // 2)[:, None]
+    tris = np.stack([a, b, np.where(upper, c, d), np.where(upper, a, b), c, d], axis=-1)
+    return Mesh(vertices, tris.reshape(-1, 3))
 
 
 def mirror_vertex_map(mesh: Mesh, axis: float = 0.0) -> np.ndarray:

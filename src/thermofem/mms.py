@@ -25,7 +25,7 @@ from . import fem
 from .coefficients import (HeatParams, LIVER_QUADRATIC, SpeedTable, TissueModel,
                            variant_by_name)
 from .fem import FEFunction, FESpace, ScalarField, build_space, error_norms
-from .mesh import unit_square_mesh
+from .mesh import unit_square_cells, unit_square_mesh
 from .stepping import (FixedPointConfig, SimulationState, delta1, run_simulation,
                        scheme_by_name, step_count)
 
@@ -229,6 +229,8 @@ class ConvergenceConfig:
             raise ValueError("mesh subdivision counts must be positive")
         if len(set(int(n) for n in self.meshes)) != len(self.meshes):
             raise ValueError(f"mesh subdivision counts must be distinct, got {list(self.meshes)}")
+        for n in self.meshes:
+            unit_square_cells(int(n))
         n_steps = step_count(self.final_time, self.tau)
         # total_error takes the scheme's first difference of the last state,
         # which needs len(d1) levels before the newest.

@@ -239,7 +239,7 @@ class StepContext:
         theta_n = state.theta[0]
         theta_cell = self.fev.fe_values(theta_n)
         theta_grad = self.fev.fe_gradients(theta_n)
-        self.speed = coef.SpeedTable(model, theta_cell, slope=True)
+        self.speed = coef.SpeedTable(model, theta_cell)
         q_vals, dq = self.speed.q(derivative=True)
         b_vals, db = self.speed.beta(derivative=True)
 

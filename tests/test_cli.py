@@ -95,6 +95,12 @@ class TestConfigParsing:
         cfg = write_config(tmp_path, {"example": 3, "h": 7.6e-4})
         assert main(["scenario", "--config", cfg, "--dry-run"]) == 0
 
+    def test_huge_unit_square_rejected_before_meshing(self, tmp_path, capsys):
+        # n = 100000 would mesh 2e10 cells; dry run only.
+        cfg = write_config(tmp_path, dict(TINY_MMS, meshes=[8, 16, 100000]))
+        assert main(["mms", "--config", cfg, "--dry-run"]) == 2
+        assert "above the cap of MAX_CELLS = 1,000,000" in capsys.readouterr().err
+
     def test_repeated_meshes_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, dict(TINY_MMS, meshes=[2, 2, 2]))
         assert main(["mms", "--config", cfg, "--dry-run"]) == 2
@@ -244,6 +250,13 @@ class TestMeshgenCommand:
         assert main(["meshgen", "--kind", "unit-square", "--parameter", "2.5"]) == 2
         for value in ("nan", "inf"):
             assert main(["meshgen", "--kind", "unit-square", "--parameter", value]) == 2
+
+    def test_unit_square_cell_cap(self, tmp_path, capsys):
+        # n = 708 is the smallest count above the cap (1,002,528 cells).
+        assert main(["meshgen", "--kind", "unit-square", "--parameter", "708",
+                     "--output", str(tmp_path)]) == 2
+        assert "above the cap of MAX_CELLS = 1,000,000" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_focused_round_trip(self, tmp_path):
         assert main(["meshgen", "--kind", "focused-transducer", "--parameter", "3e-3",

@@ -114,7 +114,7 @@ class TestQAndBeta:
     # h = 1e-6 differences lose seven digits to rounding.
     @pytest.mark.parametrize("theta", [-5.0, 0.0, 10.0, 25.0])
     def test_q_derivative_matches_finite_difference(self, theta):
-        _, dq = SpeedTable(LIVER_QUINTIC, theta, slope=True).q(derivative=True)
+        _, dq = SpeedTable(LIVER_QUINTIC, theta).q(derivative=True)
         h = 1e-4
         fd = (SpeedTable(LIVER_QUINTIC, theta + h).q()
               - SpeedTable(LIVER_QUINTIC, theta - h).q()) / (2 * h)
@@ -122,15 +122,34 @@ class TestQAndBeta:
 
     @pytest.mark.parametrize("theta", [-5.0, 0.0, 10.0, 25.0])
     def test_beta_derivative_matches_finite_difference(self, theta):
-        _, db = SpeedTable(LIVER_QUINTIC, theta, slope=True).beta(derivative=True)
+        _, db = SpeedTable(LIVER_QUINTIC, theta).beta(derivative=True)
         h = 1e-4
         fd = (SpeedTable(LIVER_QUINTIC, theta + h).beta()
               - SpeedTable(LIVER_QUINTIC, theta - h).beta()) / (2 * h)
         assert db == pytest.approx(fd, rel=1e-6)
 
+    def test_slope_evaluated_once_on_first_derivative_request(self, monkeypatch):
+        # A table that asks for the slope: c' from the polynomial's derivative.
+        theta = np.linspace(-5.0, 30.0, 11)
+        c = coefficients.speed_of_sound(LIVER_QUINTIC, theta)
+        dc = coefficients._dspeed(LIVER_QUINTIC, theta)
+        scale = 2.0 * LIVER_QUINTIC.absorption / LIVER_QUINTIC.omega**2
+        calls = []
+        slope = coefficients._dspeed
+        monkeypatch.setattr(coefficients, "_dspeed", lambda *a: calls.append(a) or slope(*a))
+        speed = SpeedTable(LIVER_QUINTIC, theta)
+        assert calls == []
+        q, dq = speed.q(derivative=True)
+        b, db = speed.beta(derivative=True)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(q, c * c)
+        np.testing.assert_array_equal(dq, 2.0 * c * dc)
+        np.testing.assert_array_equal(b, scale * (c * c) * c)
+        np.testing.assert_array_equal(db, 3.0 * scale * (c * c) * dc)
+
     def test_derivative_of_constant_law_is_zero(self):
         model = TissueModel(speed_coeffs=(1529.3,))
-        _, dq = SpeedTable(model, 5.0, slope=True).q(derivative=True)
+        _, dq = SpeedTable(model, 5.0).q(derivative=True)
         assert dq == 0.0
 
 
@@ -160,7 +179,7 @@ class TestModuleLevelLaws:
         # Each builds one SpeedTable per call; the benchmark's coefficient
         # span wraps them.
         theta = np.linspace(-5.0, 30.0, 11)
-        speed = SpeedTable(LIVER_QUINTIC, theta, slope=True)
+        speed = SpeedTable(LIVER_QUINTIC, theta)
         pairs = [
             (coefficients.q_of_theta(LIVER_QUINTIC, theta, derivative=True), speed.q(True)),
             (coefficients.beta_of_theta(LIVER_QUINTIC, theta, derivative=True), speed.beta(True)),

@@ -111,6 +111,157 @@ class TestBuildSpace:
             build_space(unit_square_mesh(2), 4)
 
 
+def hand_tables(degree, bary):
+    """The P1-P3 shape functions and their lambda-derivatives written out
+    per degree, in the local order vertices, edge nodes of (0,1), (0,2),
+    (1,2) from the edge's first vertex, interior: (phi, dphi), shapes
+    (n_loc, nq) and (n_loc, nq, 2)."""
+    l0, l1, l2 = bary.T
+    zero, one = np.zeros_like(l0), np.ones_like(l0)
+    if degree == 1:
+        phi = [l0, l1, l2]
+        dlam = [(one, zero, zero), (zero, one, zero), (zero, zero, one)]
+    elif degree == 2:
+        phi = [l0 * (2 * l0 - 1), l1 * (2 * l1 - 1), l2 * (2 * l2 - 1),
+               4 * l0 * l1, 4 * l0 * l2, 4 * l1 * l2]
+        dlam = [(4 * l0 - 1, zero, zero), (zero, 4 * l1 - 1, zero), (zero, zero, 4 * l2 - 1),
+                (4 * l1, 4 * l0, zero), (4 * l2, zero, 4 * l0), (zero, 4 * l2, 4 * l1)]
+    else:
+        def vert(lam):
+            return 0.5 * lam * (3 * lam - 1) * (3 * lam - 2), 0.5 * (27 * lam * lam - 18 * lam + 2)
+
+        def edge(la, lb):  # value, d/dla, d/dlb of the node near la on edge (la, lb)
+            return 4.5 * la * lb * (3 * la - 1), 4.5 * lb * (6 * la - 1), 4.5 * la * (3 * la - 1)
+
+        lam = (l0, l1, l2)
+        phi, dlam = [], []
+        for m in range(3):
+            v, dv = vert(lam[m])
+            phi.append(v)
+            dlam.append(tuple(dv if k == m else zero for k in range(3)))
+        for a, b in ((0, 1), (0, 2), (1, 2)):
+            for near, far in ((a, b), (b, a)):
+                v, dn, df = edge(lam[near], lam[far])
+                phi.append(v)
+                dlam.append(tuple(dn if k == near else df if k == far else zero
+                                  for k in range(3)))
+        phi.append(27 * l0 * l1 * l2)
+        dlam.append((27 * l1 * l2, 27 * l0 * l2, 27 * l0 * l1))
+    dphi = np.zeros((len(phi), len(l0), 2))
+    for b, parts in enumerate(dlam):
+        for j in range(3):
+            dphi[b] += np.multiply.outer(parts[j], fem._DLAMBDA[j])
+    return np.stack(phi), dphi
+
+
+def hand_numbering(mesh, degree):
+    """(cell_dofs, boundary_dofs, dof_coords) built per degree: vertices,
+    then the degree - 1 nodes of each edge (edges in lexicographic order,
+    nodes from the smaller vertex), then one interior node per cell for
+    cubics."""
+    tris, nv, nt = mesh.triangles, mesh.n_vertices, mesh.n_triangles
+    pairs = np.sort(np.stack([tris[:, [0, 1]], tris[:, [0, 2]], tris[:, [1, 2]]], axis=1),
+                    axis=2)
+    edges, edge_of, counts = np.unique(pairs.reshape(-1, 2), axis=0, return_inverse=True,
+                                       return_counts=True)
+    edge_of = edge_of.reshape(nt, 3)
+    ne = len(edges)
+    va, vb = mesh.vertices[edges[:, 0]], mesh.vertices[edges[:, 1]]
+    boundary = [mesh.boundary_vertices]
+    be = np.flatnonzero(counts == 1)
+    if degree == 1:
+        cell_dofs, coords = tris.copy(), mesh.vertices.copy()
+    elif degree == 2:
+        cell_dofs = np.column_stack([tris, nv + edge_of])
+        coords = np.vstack([mesh.vertices, 0.5 * (va + vb)])
+        boundary.append(nv + be)
+    else:
+        cols = [tris]
+        for k, (a, b) in enumerate(((0, 1), (0, 2), (1, 2))):
+            asc = tris[:, a] < tris[:, b]
+            base = nv + 2 * edge_of[:, k]
+            cols += [np.where(asc, base, base + 1)[:, None], np.where(asc, base + 1, base)[:, None]]
+        cols.append(nv + 2 * ne + np.arange(nt)[:, None])
+        cell_dofs = np.hstack(cols)
+        edge_nodes = np.stack([va + (vb - va) / 3.0, va + 2.0 * (vb - va) / 3.0], axis=1)
+        coords = np.vstack([mesh.vertices, edge_nodes.reshape(-1, 2),
+                            mesh.vertices[tris].mean(axis=1)])
+        boundary += [nv + 2 * be, nv + 2 * be + 1]
+    return cell_dofs, np.unique(np.concatenate(boundary)), coords
+
+
+def rotated_mesh(seed=5):
+    """A distorted square whose triangles start at a random vertex each, so
+    local and global edge orientations mix."""
+    mesh = distorted_square()
+    shift = np.random.default_rng(seed).integers(0, 3, mesh.n_triangles)
+    rows = np.arange(mesh.n_triangles)[:, None]
+    return Mesh(mesh.vertices, mesh.triangles[rows, (np.arange(3) + shift[:, None]) % 3])
+
+
+class TestLagrangeElement:
+    """The element derived from its lattice nodes (fem._local_nodes) against
+    the per-degree tables and numbering it replaces, and against its
+    defining properties."""
+
+    @pytest.mark.parametrize("degree", (1, 2, 3))
+    @pytest.mark.parametrize("rule", ("assembly", "error"))
+    def test_basis_matches_hand_tables(self, degree, rule):
+        points = triangle_rule(2 * degree + (2 if rule == "assembly" else 4)).points
+        phi, dphi = fem.lagrange_basis(degree, points)
+        want_phi, want_dphi = hand_tables(degree, points)
+        assert phi.shape == want_phi.shape and dphi.shape == want_dphi.shape
+        if degree == 1:
+            np.testing.assert_array_equal(dphi, want_dphi)
+        if degree <= 2:
+            np.testing.assert_array_equal(phi, want_phi)
+        assert np.abs(phi - want_phi).max() <= 4e-15
+        assert np.abs(dphi - want_dphi).max() <= 4e-15
+
+    @pytest.mark.parametrize("degree", (1, 2, 3))
+    def test_nodal_property_and_partition_of_unity(self, degree, rng):
+        nodes = fem._local_nodes(degree)
+        assert (nodes.sum(axis=1) == degree).all()
+        assert len(np.unique(nodes, axis=0)) == len(nodes) == (degree + 1) * (degree + 2) // 2
+        phi, _ = fem.lagrange_basis(degree, nodes / degree)
+        assert np.abs(phi - np.eye(len(nodes))).max() <= 1e-14
+        bary = rng.dirichlet(np.ones(3), size=50)
+        phi, dphi = fem.lagrange_basis(degree, bary)
+        assert np.abs(phi.sum(axis=0) - 1.0).max() <= 1e-14
+        assert np.abs(dphi.sum(axis=0)).max() <= 1e-13
+
+    @pytest.mark.parametrize("degree", (1, 2, 3))
+    def test_gradients_match_central_differences(self, degree, rng):
+        xi = rng.dirichlet(np.ones(3), size=20)[:, 1:]
+        h = 1e-6
+
+        def phi(ref):
+            return fem.lagrange_basis(degree, np.column_stack([1.0 - ref.sum(axis=1), ref]))[0]
+
+        _, dphi = fem.lagrange_basis(degree, np.column_stack([1.0 - xi.sum(axis=1), xi]))
+        for d, step in enumerate(np.eye(2) * h):
+            fd = (phi(xi + step) - phi(xi - step)) / (2 * h)
+            assert np.abs(dphi[..., d] - fd).max() <= 1e-7
+
+    @pytest.mark.parametrize("degree", (1, 2, 3))
+    def test_numbering_matches_per_degree_construction(self, degree):
+        mesh = rotated_mesh()
+        sp = build_space(mesh, degree)
+        cell_dofs, boundary, coords = hand_numbering(mesh, degree)
+        np.testing.assert_array_equal(sp.cell_dofs, cell_dofs)
+        np.testing.assert_array_equal(sp.boundary_dofs, boundary)
+        assert sp.n_dofs == len(coords)
+        assert np.abs(sp.dof_coords - coords).max() <= 4e-15
+
+    def test_p1_space_numbers_no_edges(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a P1 space numbered the mesh edges")
+
+        monkeypatch.setattr(fem, "number_edges", refuse)
+        sp = build_space(rotated_mesh(), 1)
+        np.testing.assert_array_equal(sp.cell_dofs, sp.mesh.triangles)
+
+
 class TestMass:
     def test_p1_exact_oracle(self):
         sp = build_space(reference_triangle(), 1)

@@ -6,7 +6,9 @@ from hypothesis import given, strategies as st
 
 from thermofem.mesh import (ARC_RADIUS, MAX_CELLS, Mesh, MeshFormatError, X_LEFT,
                             Y_HALF, focused_domain_cells, focused_domain_mesh, load_mesh,
-                            mirror_vertex_map, number_edges, save_mesh, unit_square_mesh)
+                            mirror_vertex_map, number_edges, save_mesh, unit_square_cells,
+                            unit_square_mesh)
+from thermofem import mesh as mesh_module
 
 # analytic area of the focused domain: slab of width 0.06 joined with the
 # circular cap right of x1 = 0.03 (the slab corners lie exactly on the arc)
@@ -62,6 +64,19 @@ class TestUnitSquare:
         with pytest.raises(ValueError):
             unit_square_mesh(0)
 
+    def test_cell_cap_before_any_array(self, monkeypatch):
+        assert unit_square_cells(707) == 999_698 <= MAX_CELLS
+        assert unit_square_cells(16) == unit_square_mesh(16).n_triangles
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an array was built for a refused mesh")
+
+        # 708 would mesh 1,002,528 cells.
+        monkeypatch.setattr(mesh_module.np, "meshgrid", refuse)
+        for n in (708, 100_000):
+            with pytest.raises(ValueError, match=f"cap of MAX_CELLS = {MAX_CELLS:,}"):
+                unit_square_mesh(n)
+
 
 def focused_domain_contains(points, tol: float = 1e-10) -> np.ndarray:
     """Membership predicate for the focused-transducer domain."""
@@ -90,7 +105,37 @@ class TestNumberEdges:
         assert flip.any() and not flip.all()
 
 
+def focused_domain_loops(h_target):
+    """(vertices, triangles) of focused_domain_mesh, built row by row and
+    cell by cell."""
+    m, n = mesh_module._focused_grid(h_target)
+    half = np.arange(n // 2 + 1, dtype=np.float64) / n * (2.0 * Y_HALF) - Y_HALF
+    half[0], half[-1] = -Y_HALF, 0.0
+    levels = np.concatenate([half, -half[-2::-1]])
+    cols = np.arange(m + 1, dtype=np.float64) / m
+    vertices = np.empty(((n + 1) * (m + 1), 2))
+    for j, y in enumerate(levels):
+        right = math.sqrt(ARC_RADIUS * ARC_RADIUS - abs(y) * abs(y))
+        x = X_LEFT + (right - X_LEFT) * cols
+        x[-1] = right
+        vertices[j * (m + 1) : (j + 1) * (m + 1)] = np.column_stack([x, np.full(m + 1, y)])
+    tris = []
+    for j in range(n):
+        for i in range(m):
+            a, b = j * (m + 1) + i, j * (m + 1) + i + 1
+            d, c = a + m + 1, b + m + 1
+            tris += [(a, b, c), (a, c, d)] if j >= n // 2 else [(a, b, d), (b, c, d)]
+    return vertices, np.array(tris)
+
+
 class TestFocusedDomain:
+    @pytest.mark.parametrize("h", [7.6e-4, 3e-3, 4e-3, 1e-2, 0.049])
+    def test_matches_row_and_cell_loops(self, h):
+        vertices, triangles = focused_domain_loops(h)
+        mesh = focused_domain_mesh(h)
+        np.testing.assert_array_equal(mesh.vertices, vertices)
+        np.testing.assert_array_equal(mesh.triangles, triangles)
+
     def test_rejects_bad_target(self):
         with pytest.raises(ValueError):
             focused_domain_mesh(0.0)
