@@ -25,9 +25,9 @@ elementwise arithmetic (see assemble_weighted_stiffness); gradients meet
 the cells only through batched 2x2 products with their Jacobians.  All
 matrices share the space's one pattern, so a solver system is a sum of
 data arrays, restricted to the interior dofs by one gather
-(FESpace.interior_matrix).  A run's sources are tabulated once on the
-error-degree points and assembled from those tables at each step
-(source_loads).
+(FESpace.interior_matrix).  A run's sources are tabulated once per cell
+block on the error-degree points, evaluated block by block at each step,
+and assembled from one table per field (source_loads).
 """
 from __future__ import annotations
 
@@ -65,7 +65,8 @@ __all__ = [
 # (0,0)-(1,0)-(0,1) with respect to (xi, eta).
 _DLAMBDA = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
 
-# Cells per block of the weighted stiffness kernel's per-point table.
+# Cells per block of the weighted stiffness kernel's per-point table and of
+# the source evaluations (source_loads).
 _CELL_BLOCK = 1024
 
 
@@ -124,6 +125,9 @@ def triangle_rule(degree: int) -> QuadratureRule:
     eta = np.tile(gj_x, k)
     w = np.outer(gl_w, gj_w).ravel() * 2.0  # normalize reference area 1/2 -> 1
     bary = np.column_stack([1.0 - xi - eta, xi, eta])
+    # Every space on this rule shares its arrays (FEValues.weights is w).
+    bary.flags.writeable = False
+    w.flags.writeable = False
     rule = QuadratureRule(degree, bary, w)
     _RULE_CACHE[degree] = rule
     return rule
@@ -480,26 +484,39 @@ def assemble_load(space: FESpace, source, quad_degree: int | None = None) -> np.
 
 def source_loads(space: FESpace, evaluator) -> Callable:
     """The `sources` callable of run_simulation, t -> (wave load, heat load),
-    from a point-table evaluator.  evaluator(x) runs once, at the first call
-    (a run's first step, after its arguments are checked), on the space's
-    error-degree quadrature points x, shape (n, 2): it tabulates what does
-    not change in time and returns t -> (wave, heat) values at x, either
-    None for no source."""
+    from a point-table evaluator, tabulated once per cell block.
+
+    At the first call (a run's first step, after its arguments are
+    checked) evaluator(x) runs once per block of _CELL_BLOCK cells of the
+    space's error-degree quadrature points, in cell order, with x of shape
+    (n, 2): it tabulates what does not change in time and returns
+    t -> (wave, heat) values at x, either None for no source.  Each call
+    evaluates every block into one (cells, points) table per field, so
+    the evaluator's temporaries stay cache-sized, and assembles that
+    table.  A field must be None in every block or in none."""
     degree = space.error_degree
 
     @functools.cache
-    def at_points():
-        return evaluator(space.values(degree).points.reshape(-1, 2))
-
-    def load(values):
-        if values is None:
-            return None
-        shape = space.values(degree).points.shape[:2]
-        return assemble_load(space, values.reshape(shape), quad_degree=degree)
+    def blocks():
+        points = space.values(degree).points
+        return [evaluator(points[start:start + _CELL_BLOCK].reshape(-1, 2))
+                for start in range(0, len(points), _CELL_BLOCK)]
 
     def sources(t: float):
-        wave, heat = at_points()(t)
-        return load(wave), load(heat)
+        shape = space.values(degree).points.shape[:2]
+        tables = None
+        for start, values in zip(range(0, shape[0], _CELL_BLOCK), blocks()):
+            fields = values(t)
+            if tables is None:
+                tables = [None if v is None else np.empty(shape) for v in fields]
+            for table, v in zip(tables, fields):
+                if (table is None) != (v is None):
+                    raise ValueError("a source field must be None in every cell block or in none")
+                if table is not None:
+                    rows = table[start:start + _CELL_BLOCK]
+                    rows[...] = np.reshape(v, rows.shape)
+        return tuple(None if table is None else assemble_load(space, table, quad_degree=degree)
+                     for table in tables)
 
     return sources
 
@@ -547,8 +564,8 @@ def nodal_interpolate(space: FESpace, field: ScalarField, t: float = 0.0) -> FEF
 
 
 def error_norms(u: FEFunction, exact: ScalarField | None, t: float = 0.0,
-                quad_degree: int | None = None) -> tuple[float, float, float]:
-    """(L2, H1-seminorm, L6-gradient) norms of u minus an exact field.
+                quad_degree: int | None = None) -> tuple[float, float]:
+    """(L2, H1-seminorm) norms of u minus an exact field.
 
     Pass exact=None to take norms of u itself.  Uses an elevated quadrature
     degree (2p + 4 by default) so the measurement error stays below the
@@ -570,8 +587,6 @@ def error_norms(u: FEFunction, exact: ScalarField | None, t: float = 0.0,
             have_grad = False
     l2 = math.sqrt(max(fev.integrate(vals * vals), 0.0))
     if not have_grad:
-        return l2, math.nan, math.nan
-    g2 = _pointwise_dot(grads, grads)
-    h1 = math.sqrt(max(fev.integrate(g2), 0.0))
-    l6 = max(fev.integrate(g2 * g2 * g2), 0.0) ** (1.0 / 6.0)
-    return l2, h1, l6
+        return l2, math.nan
+    h1 = math.sqrt(max(fev.integrate(_pointwise_dot(grads, grads)), 0.0))
+    return l2, h1

@@ -114,8 +114,9 @@ class ManufacturedPair:
     def sources(self, variant, model: TissueModel, heat: HeatParams):
         """Point-table evaluator of the (wave, heat) sources, for
         fem.source_loads: sources(...)(x) tabulates the sine profiles at
-        the points x once, and the function it returns gives both sources
-        at x for a time t from one u, one theta and one SpeedTable."""
+        the points x once per cell block, and the function it returns
+        gives both sources at x for a time t from one u, one theta and one
+        SpeedTable."""
         gradient_coupling = variant.tag == "kuznetsov" and not variant.linear
 
         def at_points(x):
@@ -194,10 +195,10 @@ def total_error(state: SimulationState, pair: ManufacturedPair, scheme) -> tuple
     dtu = (scheme.lead1 * state.u[0] - delta1(scheme, state.u[1:])) / tau
     dtheta = (scheme.lead1 * state.theta[0] - delta1(scheme, state.theta[1:])) / tau
 
-    _, h1_dtu, _ = error_norms(FEFunction(space, dtu), pair.ut_field(), t)
-    l2_dtheta, _, _ = error_norms(FEFunction(space, dtheta), pair.theta_t_field(), t)
-    l2_theta, h1_theta, _ = error_norms(FEFunction(space, state.theta[0]), pair.theta_field(), t)
-    l2_u, _, _ = error_norms(FEFunction(space, state.u[0]), pair.u_field(), t)
+    _, h1_dtu = error_norms(FEFunction(space, dtu), pair.ut_field(), t)
+    l2_dtheta, _ = error_norms(FEFunction(space, dtheta), pair.theta_t_field(), t)
+    l2_theta, h1_theta = error_norms(FEFunction(space, state.theta[0]), pair.theta_field(), t)
+    l2_u, _ = error_norms(FEFunction(space, state.u[0]), pair.u_field(), t)
 
     e_tau = h1_dtu + l2_dtheta + h1_theta
     e_l2 = l2_u + l2_theta
@@ -221,8 +222,10 @@ class ConvergenceConfig:
     def __post_init__(self):
         variant_by_name(self.variant)
         scheme_by_name(self.scheme)
-        if self.degree not in (1, 2, 3):
-            raise ValueError("degree must be 1, 2 or 3")
+        # A bool is an int, and a float such as 2.0 equals one.
+        is_int = isinstance(self.degree, int) and not isinstance(self.degree, bool)
+        if not is_int or self.degree not in (1, 2, 3):
+            raise ValueError(f"degree must be the integer 1, 2 or 3, got {self.degree!r}")
         if len(self.meshes) < 2:
             raise ValueError("a convergence study needs at least two meshes")
         if any(int(n) < 1 for n in self.meshes):

@@ -118,8 +118,8 @@ def example2_initial_data(amplitude: float = 1.0e6):
 def example3_source(amplitude: float = DEFAULT_AMPLITUDES[3], frequency: float = 1.0e5):
     """Time-harmonic interior forcing for the driven run, as a point-table
     evaluator for fem.source_loads: example3_source(...)(x) tabulates the
-    aperture profile at the points x once, and the function it returns
-    scales it by cos(2 pi f t).  There is no heat source."""
+    aperture profile at the points x once per cell block, and the function
+    it returns scales it by cos(2 pi f t).  There is no heat source."""
     edge = math.exp(-40.0)
 
     def at_points(x):
@@ -156,8 +156,10 @@ class ScenarioConfig:
         if not 0.0 < self.h < ARC_RADIUS:
             raise ValueError(f"h must lie in (0, {ARC_RADIUS}), got {self.h!r}")
         focused_domain_cells(self.h)
-        if self.degree not in (1, 2, 3):
-            raise ValueError("degree must be 1, 2 or 3")
+        # A bool is an int, and a float such as 2.0 equals one.
+        is_int = isinstance(self.degree, int) and not isinstance(self.degree, bool)
+        if not is_int or self.degree not in (1, 2, 3):
+            raise ValueError(f"degree must be the integer 1, 2 or 3, got {self.degree!r}")
         scheme_by_name(self.scheme)
         step_count(self.final_time, self.tau)
         if self.amplitude is not None and self.amplitude < 0.0:

@@ -5,11 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thermofem import fem
+from thermofem import coefficients, fem
+from thermofem.coefficients import (KUZNETSOV, LINEAR_WAVE, LIVER_QUADRATIC, WESTERVELT,
+                                    DegeneracyError, HeatParams, TissueModel)
 from thermofem.fem import (FEFunction, ScalarField, assemble_load, assemble_mass,
                            assemble_stiffness, assemble_weighted_stiffness, build_space,
                            error_norms, nodal_interpolate, ritz_projection, triangle_rule)
 from thermofem.mesh import Mesh, unit_square_mesh
+from thermofem.mms import ManufacturedPair
+from thermofem.scenarios import TRANSDUCER_RADIUS, example3_source
 
 from conftest import constant_field
 
@@ -103,7 +107,7 @@ class TestBuildSpace:
         f = nodal_interpolate(sp, sine_field())
         probe = ScalarField(lambda x, t=0.0: x[..., 0] ** degree)
         g = nodal_interpolate(sp, probe)
-        l2, _, _ = error_norms(g, probe)
+        l2, _ = error_norms(g, probe)
         assert l2 <= 1e-12  # P_eta reproduces x1^eta only with consistent dofs
 
     def test_rejects_degree_4(self):
@@ -447,6 +451,106 @@ class TestLoad:
         assert tabulated == [(sp.values(sp.error_degree).points[..., 0].size, 2)]
 
 
+def aperture_square():
+    """unit_square_mesh(4) moved over the driven source's aperture, so that
+    most cells see a nonzero example-3 profile."""
+    mesh = unit_square_mesh(4)
+    scale = 1.2 * TRANSDUCER_RADIUS
+    return Mesh(mesh.vertices * scale - [0.2 * scale, 0.5 * scale], mesh.triangles)
+
+
+class TestSourceCellBlocks:
+    """source_loads evaluates a run's sources block by block; with
+    _CELL_BLOCK = 5 on 32 cells the last of the 7 blocks holds 2 cells."""
+
+    BLOCK = 5
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(fem, "_CELL_BLOCK", self.BLOCK)
+
+    def test_each_block_tabulated_once_in_order_at_first_call(self):
+        space = build_space(unit_square_mesh(4), 2)
+        seen = []
+
+        def evaluator(x):
+            seen.append(x.copy())
+            profile = sine_field().value(x)
+            return lambda t: (profile * t, None)
+
+        loads = fem.source_loads(space, evaluator)
+        assert seen == []  # not before the run's first step
+        for t in (0.0, 0.5, 0.25):
+            loads(t)
+        points = space.values(space.error_degree).points
+        want = [points[start:start + self.BLOCK].reshape(-1, 2)
+                for start in range(0, len(points), self.BLOCK)]
+        assert len(want) == 7 and len(want[-1]) == 2 * points.shape[1]
+        assert len(seen) == len(want)
+        for got, expected in zip(seen, want):
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("variant", [WESTERVELT, KUZNETSOV, LINEAR_WAVE, None],
+                             ids=["westervelt", "kuznetsov", "linear", "example3"])
+    def test_loads_equal_whole_table_loads(self, variant):
+        if variant is None:
+            mesh, make = aperture_square(), example3_source
+        else:
+            pair = ManufacturedPair(a1=0.8, a2=2e-4, rate1=1.3, rate2=0.4)
+            heat = HeatParams(kappa=1.0, nu=1e-5)
+            mesh, make = unit_square_mesh(4), lambda: pair.sources(variant, LIVER_QUADRATIC, heat)
+        space = build_space(mesh, 1)
+        degree = space.error_degree
+        points = space.values(degree).points
+        whole = make()(points.reshape(-1, 2))
+        loads = fem.source_loads(space, make())
+        for t in (0.0, 0.3, 0.7):
+            for got, table in zip(loads(t), whole(t)):
+                if table is None:
+                    assert got is None
+                    continue
+                assert np.abs(table).max() > 0.0
+                want = assemble_load(space, table.reshape(points.shape[:2]), quad_degree=degree)
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("none_first", [True, False])
+    def test_none_in_some_blocks_only_is_rejected(self, none_first):
+        space = build_space(unit_square_mesh(4), 1)
+        blocks = []
+
+        def evaluator(x):
+            blocks.append(x)
+            missing = (len(blocks) == 1) == none_first
+            return lambda t: (np.ones(len(x)), None if missing else np.ones(len(x)))
+
+        with pytest.raises(ValueError, match="None in every cell block or in none"):
+            fem.source_loads(space, evaluator)(0.0)
+
+    def test_nonpositive_speed_in_last_block_raises(self):
+        # c = 1 + theta; theta = -2 only inside the last cell, the upper
+        # triangle of the top-right grid square, so only the last block
+        # meets a nonpositive speed.
+        model = TissueModel(speed_coeffs=(1.0, 1.0), ambient=0.0)
+        space = build_space(unit_square_mesh(4), 1)
+
+        def evaluator(x):
+            theta = np.where((x[:, 0] > 0.75) & (x[:, 1] > x[:, 0]), -2.0, 0.0)
+
+            def values(t):
+                c = coefficients.speed_of_sound(model, theta)
+                return c, None
+
+            return values
+
+        points = space.values(space.error_degree).points
+        last = points[-1]
+        assert np.all((last[:, 0] > 0.75) & (last[:, 1] > last[:, 0]))
+        others = points[:-1].reshape(-1, 2)
+        assert not np.any((others[:, 0] > 0.75) & (others[:, 1] > others[:, 0]))
+        with pytest.raises(DegeneracyError, match="nonpositive"):
+            fem.source_loads(space, evaluator)(0.0)
+
+
 class TestRitz:
     def test_zero_field(self):
         sp = build_space(unit_square_mesh(4), 2)
@@ -477,7 +581,7 @@ class TestRitz:
         for n in (8, 16, 32):
             sp = build_space(unit_square_mesh(n), 1)
             r = ritz_projection(sp, f)
-            _, h1, _ = error_norms(r, f)
+            _, h1 = error_norms(r, f)
             errs.append(h1)
         for i in range(len(errs) - 1):
             rate = math.log2(errs[i] / errs[i + 1])
@@ -540,7 +644,7 @@ class TestNodalInterpolation:
         sp = build_space(unit_square_mesh(3), 2)
         probe = ScalarField(lambda x, t=0.0: x[..., 0] * x[..., 1])
         f = nodal_interpolate(sp, probe)
-        l2, _, _ = error_norms(f, probe)
+        l2, _ = error_norms(f, probe)
         assert l2 <= 1e-13
 
     def test_time_passed_through(self):
@@ -558,13 +662,13 @@ class TestErrorNorms:
             lambda x, t=0.0: np.stack([x[..., 1], x[..., 0]], axis=-1),
         )
         f = nodal_interpolate(sp, probe)
-        l2, h1, l6 = error_norms(f, probe)
-        assert l2 <= 1e-12 and h1 <= 1e-12 and l6 <= 1e-12
+        l2, h1 = error_norms(f, probe)
+        assert l2 <= 1e-12 and h1 <= 1e-12
 
     def test_none_gives_own_norms(self):
         sp = build_space(unit_square_mesh(2), 1)
         u = FEFunction(sp, np.ones(sp.n_dofs))
-        l2, h1, _ = error_norms(u, None)
+        l2, h1 = error_norms(u, None)
         assert l2 == pytest.approx(1.0, rel=1e-12)
         assert h1 <= 1e-12
 
@@ -579,11 +683,21 @@ class TestErrorNorms:
         m = assemble_mass(sp)
         phi_norm = math.sqrt(m.to_dense()[j, j])
         diff = FEFunction(sp, pert - vals)
-        l2, _, _ = error_norms(diff, None)
+        l2, _ = error_norms(diff, None)
         assert 0.0 < l2 <= eps * phi_norm * (1 + 1e-12)
 
 
 class TestQuadraturePoints:
+    def test_cached_rule_arrays_are_read_only(self):
+        # Every space on a rule shares its arrays: a write through one
+        # space must fail rather than change the next one.
+        with pytest.raises(ValueError):
+            build_space(unit_square_mesh(2), 1).values().weights[0] += 1.0
+        rule = triangle_rule(build_space(unit_square_mesh(2), 1).assembly_degree)
+        with pytest.raises(ValueError):
+            rule.points[0, 0] = 0.5
+        assert build_space(unit_square_mesh(3), 1).values().weights.sum() == pytest.approx(1.0)
+
     def test_quadrature_points_are_read_only(self):
         fev = build_space(unit_square_mesh(2), 1).values()
         with pytest.raises(ValueError):

@@ -356,17 +356,17 @@ class TestTotalError:
                 lambda x, t: (f(x, t1) - f(x, t0)) / tau,
                 lambda x, t: (gf(x, t1) - gf(x, t0)) / tau)
 
-        _, dq_u_h1, _ = error_norms(zero, ScalarField(
+        _, dq_u_h1 = error_norms(zero, ScalarField(
             lambda x, t: pair.u_t(x, t1) - (pair.u(x, t1) - pair.u(x, t0)) / tau,
             lambda x, t: pair.grad_u(x, t1) * pair.rate1
             - (pair.grad_u(x, t1) - pair.grad_u(x, t0)) / tau), 0.0)
-        dq_th_l2, _, _ = error_norms(zero, ScalarField(
+        dq_th_l2, _ = error_norms(zero, ScalarField(
             lambda x, t: pair.theta_t(x, t1) - (pair.theta(x, t1) - pair.theta(x, t0)) / tau), 0.0)
 
-        iu1_l2, iu1_h1, _ = error_norms(u1, pair.u_field(), t1)
-        iu0_l2, iu0_h1, _ = error_norms(u0, pair.u_field(), t0)
-        ith1_l2, ith1_h1, _ = error_norms(th1, pair.theta_field(), t1)
-        ith0_l2, ith0_h1, _ = error_norms(th0, pair.theta_field(), t0)
+        iu1_l2, iu1_h1 = error_norms(u1, pair.u_field(), t1)
+        iu0_l2, iu0_h1 = error_norms(u0, pair.u_field(), t0)
+        ith1_l2, ith1_h1 = error_norms(th1, pair.theta_field(), t1)
+        ith0_l2, ith0_h1 = error_norms(th0, pair.theta_field(), t0)
 
         bound = (dq_u_h1 + (iu1_h1 + iu0_h1) / tau
                  + dq_th_l2 + (ith1_l2 + ith0_l2) / tau
@@ -495,6 +495,13 @@ class TestStudyBookkeeping:
             ConvergenceConfig(fp_tol=5.0)
         with pytest.raises(ValueError, match="max_iter"):
             ConvergenceConfig(fp_max_iter=0)
+
+    @pytest.mark.parametrize("degree", [2.0, 1.0, True, np.int64(2)], ids=repr)
+    def test_non_int_degree_rejected(self, degree):
+        # 2.0 and True equal a valid degree; the run would fail only inside
+        # build_space.
+        with pytest.raises(ValueError, match="degree must be the integer 1, 2 or 3"):
+            ConvergenceConfig(degree=degree, meshes=(2, 4), tau=0.25, final_time=0.5)
 
     @pytest.mark.parametrize("variant,scheme", [("kuznetsov", "euler"), ("westervelt", "bdf2")])
     def test_study_calls_no_einsum(self, variant, scheme, monkeypatch):

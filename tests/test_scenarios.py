@@ -244,6 +244,13 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="degree"):
             ScenarioConfig(example=2, degree=4)
 
+    @pytest.mark.parametrize("degree", [2.0, 1.0, True, np.int64(2)], ids=repr)
+    def test_rejects_non_int_degree(self, degree):
+        # 2.0 and True equal a valid degree; the run would fail only inside
+        # build_space.
+        with pytest.raises(ValueError, match="degree must be the integer 1, 2 or 3"):
+            ScenarioConfig(example=2, degree=degree)
+
     def test_rejects_unknown_scheme(self):
         with pytest.raises(ValueError, match="scheme"):
             ScenarioConfig(example=2, scheme="leapfrog")
