@@ -10,9 +10,12 @@ when k is odd and B then A when it is even, so a drift of the host's
 speed lands on both sides.  The script prints, per pair, both wall times,
 the ratio B/A, both peak RSS readings and both checks; then each side's
 median wall time with its quartiles, the median ratio, and in how many
-pairs B was faster.  Times are measured seconds, not the benchmark's
-reference seconds: the two calls of a pair run back to back on the same
-host.
+pairs B was faster.  A last verdict line applies the gain rule: B shows
+a gain when there are at least MIN_PAIRS pairs, B is faster in at least
+nine tenths of them (a tie counts for neither side), and A's median wall
+time exceeds B's by more than the distance between A's quartiles.
+Times are measured seconds, not the benchmark's reference seconds: the
+two calls of a pair run back to back on the same host.
 
 The exit status is 0 when every call passed its check, 1 otherwise.
 """
@@ -20,12 +23,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
+MIN_PAIRS = 10
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
@@ -71,6 +76,18 @@ def quartiles(values) -> tuple[float, float]:
     return q[0], q[2]
 
 
+def verdict(walls_a, walls_b) -> str:
+    """The gain rule applied to the wall times of the pairs, in pair order."""
+    n = len(walls_a)
+    wins = sum(b < a for a, b in zip(walls_a, walls_b))
+    lo, hi = quartiles(walls_a)
+    gap = statistics.median(walls_a) - statistics.median(walls_b)
+    gain = n >= MIN_PAIRS and 10 * wins >= 9 * n and gap > hi - lo
+    return (f"verdict: {'gain' if gain else 'no gain shown'} (B faster in {wins} of {n} pairs, "
+            f"needs {math.ceil(0.9 * n)} and at least {MIN_PAIRS} pairs; "
+            f"median gap {gap:.3f} s, needs more than A's quartile distance {hi - lo:.3f} s)")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("tree_a", type=Path, help="the base tree (A)")
@@ -104,15 +121,17 @@ def main(argv=None) -> int:
               f"{b['wall_s'] / a['wall_s']:>6.3f} {a['peak_rss_mb']:>9.1f} "
               f"{b['peak_rss_mb']:>9.1f}  {check_text(a)} / {check_text(b)}", flush=True)
 
+    walls = []
     for label, side in (("A", 0), ("B", 1)):
-        walls = [row[side]["wall_s"] for row in rows]
-        lo, hi = quartiles(walls)
+        walls.append([row[side]["wall_s"] for row in rows])
+        lo, hi = quartiles(walls[-1])
         rss = statistics.median(row[side]["peak_rss_mb"] for row in rows)
-        print(f"{label}: median wall_s {statistics.median(walls):.3f} "
+        print(f"{label}: median wall_s {statistics.median(walls[-1]):.3f} "
               f"(quartiles {lo:.3f}, {hi:.3f}), median peak_rss_mb {rss:.1f}")
-    ratios = [b["wall_s"] / a["wall_s"] for a, b in rows]
-    faster = sum(b["wall_s"] < a["wall_s"] for a, b in rows)
+    ratios = [b / a for a, b in zip(*walls)]
+    faster = sum(b < a for a, b in zip(*walls))
     print(f"median B/A {statistics.median(ratios):.3f}; B faster in {faster} of {len(rows)} pairs")
+    print(verdict(*walls))
     for a, b in rows:
         for label, result in (("A", a), ("B", b)):
             for error in result["errors"]:

@@ -13,8 +13,11 @@ whitespace-separated number.  Only the columns both files have are
 compared; the columns of one file only are listed after them, as
 "added" (in DIR_B only) or "removed" (in DIR_A only).  A file whose
 shared columns differ in their text fields or number of values is
-reported as "structure differs".  Files found in one tree only are
-listed after the shared ones.
+reported as "structure differs".  A pair of step reports (steps.csv)
+also gets the summed iterations and factorizations of each side, as
+"iterations A -> B", since a relative difference does not tell which way
+a count moved.  Files found in one tree only are listed after the shared
+ones.
 
 The exit status is 0 when both trees hold the same files, byte for byte,
 and 1 otherwise.
@@ -115,6 +118,15 @@ def compare_file(a: Path, b: Path) -> str:
     return "; ".join(([drift] if drift else []) + notes)
 
 
+def step_totals(a: Path, b: Path) -> str:
+    """The summed counts of two steps.csv files, as "; iterations A -> B,
+    factorizations A -> B", for the counts both files have."""
+    num_a, num_b = (columns(p, p.read_text())[0] for p in (a, b))
+    totals = [f"{name} {sum(num_a[name]):g} -> {sum(num_b[name]):g}"
+              for name in ("iterations", "factorizations") if name in num_a and name in num_b]
+    return f"; {', '.join(totals)}" if totals else ""
+
+
 def compare_trees(dir_a: Path, dir_b: Path) -> tuple[list, bool]:
     """Report lines for two trees, and whether they hold the same bytes."""
     files_a = {p.relative_to(dir_a) for p in dir_a.rglob("*") if p.is_file()}
@@ -124,6 +136,8 @@ def compare_trees(dir_a: Path, dir_b: Path) -> tuple[list, bool]:
     for rel in sorted(files_a & files_b):
         result = compare_file(dir_a / rel, dir_b / rel)
         same = same and result == "identical"
+        if rel.name == "steps.csv":
+            result += step_totals(dir_a / rel, dir_b / rel)
         lines.append(f"{rel}: {result}")
     lines += [f"only in {dir_a}: {rel}" for rel in sorted(files_a - files_b)]
     lines += [f"only in {dir_b}: {rel}" for rel in sorted(files_b - files_a)]

@@ -26,7 +26,7 @@ from .coefficients import (HeatParams, LIVER_QUADRATIC, SpeedTable, TissueModel,
                            variant_by_name)
 from .fem import FEFunction, FESpace, ScalarField, build_space, error_norms
 from .mesh import unit_square_cells, unit_square_mesh
-from .stepping import (FixedPointConfig, SimulationState, delta1, run_simulation,
+from .stepping import (FixedPointConfig, SimulationState, _is_int, delta1, run_simulation,
                        scheme_by_name, step_count)
 
 __all__ = [
@@ -222,18 +222,18 @@ class ConvergenceConfig:
     def __post_init__(self):
         variant_by_name(self.variant)
         scheme_by_name(self.scheme)
-        # A bool is an int, and a float such as 2.0 equals one.
-        is_int = isinstance(self.degree, int) and not isinstance(self.degree, bool)
-        if not is_int or self.degree not in (1, 2, 3):
+        if not _is_int(self.degree) or self.degree not in (1, 2, 3):
             raise ValueError(f"degree must be the integer 1, 2 or 3, got {self.degree!r}")
         if len(self.meshes) < 2:
             raise ValueError("a convergence study needs at least two meshes")
-        if any(int(n) < 1 for n in self.meshes):
+        if not all(_is_int(n) for n in self.meshes):
+            raise ValueError(f"mesh subdivision counts must be integers, got {list(self.meshes)}")
+        if any(n < 1 for n in self.meshes):
             raise ValueError("mesh subdivision counts must be positive")
-        if len(set(int(n) for n in self.meshes)) != len(self.meshes):
+        if len(set(self.meshes)) != len(self.meshes):
             raise ValueError(f"mesh subdivision counts must be distinct, got {list(self.meshes)}")
         for n in self.meshes:
-            unit_square_cells(int(n))
+            unit_square_cells(n)
         n_steps = step_count(self.final_time, self.tau)
         # total_error takes the scheme's first difference of the last state,
         # which needs len(d1) levels before the newest.
@@ -343,7 +343,7 @@ def convergence_study(config: ConvergenceConfig, jobs: int = 1) -> StudyResult:
 
     Results are ordered exactly as config.meshes regardless of jobs, so a
     study is reproducible byte for byte."""
-    meshes = [int(n) for n in config.meshes]
+    meshes = list(config.meshes)
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     if jobs == 1 or len(meshes) == 1:

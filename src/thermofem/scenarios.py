@@ -28,7 +28,7 @@ from .coefficients import (KUZNETSOV, LIVER_QUINTIC, WESTERVELT, derived_heat_pa
 from .fem import ScalarField, build_space, source_loads
 from .mesh import ARC_RADIUS, focused_domain_cells, focused_domain_mesh
 from .output import write_snapshot_csv, write_vtk
-from .stepping import (FixedPointConfig, SimulationResult, run_simulation,
+from .stepping import (FixedPointConfig, SimulationResult, _is_int, run_simulation,
                        scheme_by_name, step_count, write_step_reports)
 
 __all__ = [
@@ -156,9 +156,7 @@ class ScenarioConfig:
         if not 0.0 < self.h < ARC_RADIUS:
             raise ValueError(f"h must lie in (0, {ARC_RADIUS}), got {self.h!r}")
         focused_domain_cells(self.h)
-        # A bool is an int, and a float such as 2.0 equals one.
-        is_int = isinstance(self.degree, int) and not isinstance(self.degree, bool)
-        if not is_int or self.degree not in (1, 2, 3):
+        if not _is_int(self.degree) or self.degree not in (1, 2, 3):
             raise ValueError(f"degree must be the integer 1, 2 or 3, got {self.degree!r}")
         scheme_by_name(self.scheme)
         step_count(self.final_time, self.tau)

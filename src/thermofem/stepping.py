@@ -4,17 +4,20 @@ One time step advances the wave field first and the temperature second.
 The wave step treats the quasilinear factor (1 + 2k u or 1 + 2k u_t) and
 the remaining nonlinearity by fixed-point iteration, freezing the
 temperature-dependent coefficients q(theta^n) and beta(theta^n) over the
-step.  The iteration is a chord method: every iterate, from u^n on,
+step.  The iteration starts from the extrapolation of the wave history,
+2u^n - u^{n-1} in a run's first step (u^0 + tau u^1, by the backfill
+below) and 3u^n - 3u^{n-1} + u^{n-2} after it, the predictor of linearly
+implicit multistep schemes, and is a chord method: every iterate
 corrects the current one by a factor of the wave system applied to the
 residual of the system at the iterate.  A run keeps that factor across
 its steps (a ChordBase, one per leading weight lead2), because the
 strongly damped wave operator changes little from one step to the next.
-A step with no kept factor for its lead2 factors the system at u^n.  A
-kept factor built from other frozen operator data (the n1 table at u^n
-and stiff_frozen) than the step's own is stale: once an iterate contracts
-by less than _CHORD_REFRESH, it is dropped and the system at the current
-iterate is factored instead.  Each factor is made once, by the step that
-needs it, and kept from then on.
+A step with no kept factor for its lead2 factors the system at its
+start.  A kept factor built from other frozen operator data (the n1
+table at the start and stiff_frozen) than the step's own is stale: once
+an iterate contracts by less than _CHORD_REFRESH, it is dropped and the
+system at the current iterate is factored instead.  Each factor is made
+once, by the step that needs it, and kept from then on.
 
 The heat step is semi-implicit: diffusion and perfusion are implicit, the
 absorbed energy is evaluated from the fresh wave iterate and the previous
@@ -156,6 +159,12 @@ def step_count(final_time: float, tau: float) -> int:
     return n_steps
 
 
+def _is_int(value) -> bool:
+    """Whether a count is a Python int: a bool is an int, and a float such
+    as 2.0 equals one, yet neither counts."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class FixedPointConfig:
     tol: float = 1e-10
@@ -164,8 +173,8 @@ class FixedPointConfig:
     def __post_init__(self):
         if not (0.0 < self.tol < 1.0):
             raise ValueError("fixed-point tolerance must lie in (0, 1)")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        if not _is_int(self.max_iter) or self.max_iter < 1:
+            raise ValueError(f"max_iter must be an integer of at least 1, got {self.max_iter!r}")
 
 
 @dataclass
@@ -209,7 +218,8 @@ class SimulationResult:
 class StepContext:
     """Frozen data of one time step, shared by its wave and heat halves:
     the sound-speed and coefficient tables at theta^n, the history
-    combinations, and the parts of the wave system that do not change
+    combinations (u_start, the extrapolation the wave step starts from,
+    among them), and the parts of the wave system that do not change
     across fixed-point iterations.
 
     Those parts are stiff_frozen, the matrix of
@@ -234,7 +244,10 @@ class StepContext:
         self.fev = space.values()
         self.mass = space.mass_matrix()
         self.interior = space.interior_dofs
-        self.u_prev = state.u[0]
+        # The wave fixed point starts from the extrapolation of the history:
+        # linear from the two levels of a run's first step, quadratic after.
+        extrapolation = (2.0, -1.0) if len(state.u) == 2 else (3.0, -3.0, 1.0)
+        self.u_start = _combine(extrapolation, state.u)
 
         theta_n = state.theta[0]
         theta_cell = self.fev.fe_values(theta_n)
@@ -286,8 +299,10 @@ class StepContext:
 
 class ChordBase:
     """The wave factor a run keeps across its steps, with what it was built
-    from: the leading weight lead2, the n1 table and the stiff_frozen data.
-    wave_step stores each factor it makes here and uses it from then on."""
+    from: the leading weight lead2, the n1 table of the iterate it was
+    factored at (a step's extrapolated start, or a later iterate after a
+    refresh) and the stiff_frozen data.  wave_step stores each factor it
+    makes here and uses it from then on."""
 
     __slots__ = ("lead2", "n1", "stiff", "lu")
 
@@ -301,20 +316,21 @@ class ChordBase:
 def wave_step(ctx: StepContext, fp: FixedPointConfig, base: ChordBase | None = None):
     """Advance the wave field one step; returns (u_new, step info dict).
 
-    The fixed point starts from the previous level u^n and runs as a chord
-    iteration: every iterate adds the correction B^{-1} (b(u) - A(u) u),
-    where A(u) = lead2 M(n1(u)) + stiff_frozen is the interior system at
-    the iterate (a sum of data arrays, see FESpace.interior_matrix) and B a
+    The fixed point starts from ctx.u_start, the extrapolation of the wave
+    history, on the interior dofs, and runs as a chord iteration: every
+    iterate adds the correction B^{-1} (b(u) - A(u) u), where
+    A(u) = lead2 M(n1(u)) + stiff_frozen is the interior system at the
+    iterate (a sum of data arrays, see FESpace.interior_matrix) and B a
     factor of it at some iterate.
 
     `base` is the run's kept factor, if any, and its leading weight must
     match the step's to be used.  With no usable base, the first iterate
-    factors A(u^n) and stores the factor in `base`.
-    A base built from the n1 table of u^n and the stiff_frozen data of this
-    step, bit for bit, is that same factor.  Otherwise the base is stale,
-    and when an increment exceeds _CHORD_REFRESH times the one before, the
-    stale factor is dropped and the next iterate factors A at its own
-    iterate, stores it and uses it from then on.
+    factors A at the start and stores the factor in `base`.
+    A base built from the n1 table of the start and the stiff_frozen data
+    of this step, bit for bit, is that same factor.  Otherwise the base is
+    stale, and when an increment exceeds _CHORD_REFRESH times the one
+    before, the stale factor is dropped and the next iterate factors A at
+    its own iterate, stores it and uses it from then on.
 
     The iteration stops when the relative L2 increment between iterates
     drops below fp.tol (absolute when the new iterate is zero), or as soon
@@ -336,10 +352,11 @@ def wave_step(ctx: StepContext, fp: FixedPointConfig, base: ChordBase | None = N
     elif base.lead2 != lead2:
         base.drop()
 
-    # The iterates hold the homogeneous Dirichlet values: u^n's boundary
-    # values (the rounding of a nodal interpolant) do not enter the step.
+    # The iterates hold the homogeneous Dirichlet values: the history's
+    # boundary values (the rounding of a nodal interpolant) do not enter
+    # the step.
     u_i = np.zeros(space.n_dofs)
-    u_i[idx] = ctx.u_prev[idx]
+    u_i[idx] = ctx.u_start[idx]
     n1, n2 = ctx.nonlinearity(u_i)
     lu = base.lu
     stale = lu is not None and not (np.array_equal(n1, base.n1)

@@ -44,3 +44,44 @@ def test_pairs_must_be_positive(capsys):
         ab_calls.main([str(ROOT), str(ROOT), "--workload", "mms-p1", "--pairs", "0"])
     assert exit_info.value.code == 2
     assert "--pairs" in capsys.readouterr().err
+
+
+A_WALLS = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.01, 0.99]
+
+
+@pytest.mark.parametrize("b_walls,gain", [
+    ([w - 0.10 for w in A_WALLS], True),
+    # B faster in 9 of 10 pairs, and a tie counts for neither side
+    ([w - 0.10 for w in A_WALLS[:9]] + [A_WALLS[9]], True),
+    ([w - 0.10 for w in A_WALLS[:8]] + A_WALLS[8:], False),
+    # faster in every pair, by less than the spread of A's own runs
+    ([w - 0.01 for w in A_WALLS], False),
+], ids=["ten_of_ten", "nine_and_a_tie", "eight_of_ten", "within_spread"])
+def test_verdict_applies_the_gain_rule(b_walls, gain):
+    line = ab_calls.verdict(A_WALLS, b_walls)
+    assert line.startswith("verdict: gain" if gain else "verdict: no gain shown")
+
+
+def test_verdict_needs_ten_pairs():
+    line = ab_calls.verdict(A_WALLS[:9], [w - 0.10 for w in A_WALLS[:9]])
+    assert line.startswith("verdict: no gain shown (B faster in 9 of 9 pairs")
+
+
+def test_main_prints_the_verdict_last(tmp_path, monkeypatch, capsys):
+    trees = []
+    for name in ("a", "b"):
+        (tmp_path / name / "perfbench").mkdir(parents=True)
+        (tmp_path / name / "perfbench" / "workloads.py").write_text("")
+        (tmp_path / name / "src").mkdir()
+        trees.append(str(tmp_path / name))
+    walls = {"a": iter(A_WALLS), "b": iter(w - 0.10 for w in A_WALLS)}
+
+    def call(tree, workload):
+        return {"wall_s": next(walls[tree.name]), "failed": 0, "attempted": 4,
+                "errors": [], "peak_rss_mb": 100.0}
+
+    monkeypatch.setattr(ab_calls, "call", call)
+    assert ab_calls.main(trees + ["--workload", "mms-p1", "--pairs", "10"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2].endswith("B faster in 10 of 10 pairs")
+    assert lines[-1].startswith("verdict: gain (B faster in 10 of 10 pairs")

@@ -45,3 +45,28 @@ def test_reports_identical_files_and_relative_drift_per_column(tmp_path, capsys)
     for name in files:
         (a / name).write_bytes((b / name).read_bytes())
     assert compare_outputs.main([str(a), str(b)]) == 0
+
+
+def test_step_reports_get_summed_counts_of_each_side(tmp_path, capsys):
+    # A relative difference of 0.25 in `iterations` does not say which way
+    # the count moved; the sums do.
+    a, b = tmp_path / "a", tmp_path / "b"
+    header = "step,scheme,iterations,increment,factorizations\n"
+    (a / "run").mkdir(parents=True)
+    (b / "run").mkdir(parents=True)
+    (a / "run" / "steps.csv").write_text(header + "1,euler,4,1e-11,2\n2,bdf2,3,2e-11,0\n")
+    (b / "run" / "steps.csv").write_text(header + "1,euler,3,1e-11,2\n2,bdf2,3,2e-11,0\n")
+    (a / "same").mkdir()
+    (b / "same").mkdir()
+    for root in (a, b):
+        (root / "same" / "steps.csv").write_text(header + "1,euler,2,1e-11,1\n")
+
+    assert compare_outputs.main([str(a), str(b)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "run/steps.csv: step 0, iterations 0.25, increment 0, factorizations 0; "
+        "iterations 7 -> 6, factorizations 2 -> 2",
+        "same/steps.csv: identical; iterations 2 -> 2, factorizations 1 -> 1",
+    ]
+
+    (a / "run" / "steps.csv").write_bytes((b / "run" / "steps.csv").read_bytes())
+    assert compare_outputs.main([str(a), str(b)]) == 0

@@ -496,6 +496,19 @@ class TestStudyBookkeeping:
         with pytest.raises(ValueError, match="max_iter"):
             ConvergenceConfig(fp_max_iter=0)
 
+    @pytest.mark.parametrize("meshes", [(2.7, 4), (2.0, 4), (True, 4), (2, np.int64(4))],
+                             ids=repr)
+    def test_non_int_mesh_counts_rejected(self, meshes):
+        # 2.7 would run as n = 2, and True as n = 1.
+        with pytest.raises(ValueError, match="must be integers"):
+            ConvergenceConfig(meshes=meshes, tau=0.25, final_time=0.5)
+
+    @pytest.mark.parametrize("max_iter", [2.5, 3.0, True], ids=repr)
+    def test_non_int_iteration_cap_rejected(self, max_iter):
+        # 2.5 would fail only in the first wave step, inside range().
+        with pytest.raises(ValueError, match="max_iter must be an integer"):
+            ConvergenceConfig(meshes=(2, 4), tau=0.25, final_time=0.5, fp_max_iter=max_iter)
+
     @pytest.mark.parametrize("degree", [2.0, 1.0, True, np.int64(2)], ids=repr)
     def test_non_int_degree_rejected(self, degree):
         # 2.0 and True equal a valid degree; the run would fail only inside

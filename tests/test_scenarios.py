@@ -237,6 +237,8 @@ class TestScenarioConfig:
             ScenarioConfig(example=2, fp_tol=5.0)
         with pytest.raises(ValueError, match="max_iter"):
             ScenarioConfig(example=2, fp_max_iter=0)
+        with pytest.raises(ValueError, match="max_iter must be an integer"):
+            ScenarioConfig(example=2, fp_max_iter=2.5)
 
     def test_rejects_bad_degree(self):
         with pytest.raises(ValueError, match="degree"):

@@ -80,7 +80,7 @@ def picard_wave_step(ctx, max_iter=60):
     """Reference fixed point for the wave step: rebuild and solve the
     interior system densely at every iterate until it stops moving."""
     space, tau, ix = ctx.space, ctx.tau, ctx.interior
-    u = ctx.u_prev.copy()
+    u = ctx.u_start.copy()
     for _ in range(max_iter):
         n1, n2 = ctx.nonlinearity(u)
         m_n1 = fem.assemble_mass(space, n1)
@@ -226,6 +226,11 @@ class TestFixedPointConfig:
         with pytest.raises(ValueError):
             FixedPointConfig(max_iter=0)
 
+    @pytest.mark.parametrize("max_iter", [2.5, 2.0, True, "3"], ids=repr)
+    def test_non_int_max_iter_rejected(self, max_iter):
+        with pytest.raises(ValueError, match="max_iter must be an integer"):
+            FixedPointConfig(max_iter=max_iter)
+
 
 class TestWaveStep:
     def test_zero_history_zero_source(self):
@@ -252,11 +257,12 @@ class TestWaveStep:
     def test_stationary_tables_take_one_iterate_and_one_factor(self, data, scheme_name,
                                                                monkeypatch):
         # The nonlinearity tables and the frozen stiffness never move here,
-        # so each step takes one chord correction from u^n, with a kept wave
-        # factor that is exact.  The wave system is factored once per leading
-        # weight lead2 (a BDF2 run's Euler factor serves its first step only),
-        # and so is the heat system per leading weight lead1.  The states are
-        # bit-identical to those of a fresh wave factor per step.
+        # so each step takes one chord correction from its start, with a
+        # kept wave factor that is exact.  The wave system is factored once
+        # per leading weight lead2 (a BDF2 run's Euler factor serves its
+        # first step only), and so is the heat system per leading weight
+        # lead1.  The states are bit-identical to those of a fresh wave
+        # factor per step.
         space = small_space(6)
         z = np.zeros(space.n_dofs)
         if data == "zero":
@@ -282,9 +288,9 @@ class TestWaveStep:
 
     @pytest.mark.parametrize("scheme", [EULER, BDF2])
     def test_first_iterate_from_a_fresh_factor_solves_the_system_at_u_n(self, scheme, rng):
-        # A linear step: one correction from u^n with the factor of A(u^n)
-        # is the solution of A(u^n) u = b(u^n), which vanishes on the
-        # boundary even where the history levels do not.
+        # A linear step: one correction from the extrapolated start with the
+        # factor of A at it is the solution of A u = b, which vanishes on
+        # the boundary even where the history levels do not.
         space = small_space(6)
         tau = 0.05
         state = zero_state(space, tau, levels=3)
@@ -304,6 +310,45 @@ class TestWaveStep:
         expected[ix] = np.linalg.solve(a, b[ix])
         assert np.abs(u_new - expected).max() <= 1e-12 * np.abs(expected).max()
         assert np.all(u_new[space.boundary_dofs] == 0.0)
+
+    @pytest.mark.parametrize("levels", [2, 3])
+    def test_iteration_starts_from_extrapolated_history(self, levels, rng):
+        # The first nonlinearity tables are those of the extrapolation
+        # 2u^n - u^{n-1} (two levels) or 3u^n - 3u^{n-1} + u^{n-2} (three),
+        # on the interior dofs only, even where the history is nonzero on
+        # the boundary.
+        space = small_space(4)
+        state = zero_state(space, tau=0.05, levels=levels)
+        state.u = [rng.normal(scale=0.01, size=space.n_dofs) for _ in range(levels)]
+        ctx = StepContext(state, EULER, WESTERVELT, LIVER_QUADRATIC)
+        starts = []
+        nonlinearity = ctx.nonlinearity
+
+        def recording(u_vec):
+            starts.append(u_vec.copy())
+            return nonlinearity(u_vec)
+
+        ctx.nonlinearity = recording
+        wave_step(ctx, FixedPointConfig())
+        h = state.u
+        expected = 2.0 * h[0] - h[1] if levels == 2 else 3.0 * h[0] - 3.0 * h[1] + h[2]
+        ix = space.interior_dofs
+        assert np.array_equal(starts[0][ix], expected[ix])
+        assert np.all(starts[0][space.boundary_dofs] == 0.0)
+
+    def test_extrapolated_start_takes_two_iterates_on_smooth_data(self):
+        # The BDF2/P2 manufactured run: from the extrapolated start every
+        # step meets the increment test at its second iterate, the least
+        # the test allows; started from u^n, later steps took a third.
+        pair = ManufacturedPair()
+        heat = HeatParams(1.0, 1e-5)
+        space = small_space(4, degree=2)
+        result = run_simulation(
+            space, scheme=BDF2, variant=WESTERVELT, model=LIVER_QUADRATIC, heat=heat,
+            tau=1.0 / 32, n_steps=8, u0=pair.u_field(), u1=pair.ut_field(),
+            theta0=pair.theta_field(),
+            sources=fem.source_loads(space, pair.sources(WESTERVELT, LIVER_QUADRATIC, heat)))
+        assert [rep.iterations for rep in result.reports] == [2] * 8
 
     def test_nonlinear_step_factors_once_and_matches_picard(self, monkeypatch):
         # k_W = 1: the quasilinear factor 1 + 2u moves by tens of percent.
