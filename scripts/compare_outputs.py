@@ -4,8 +4,13 @@
     python scripts/compare_outputs.py DIR_A DIR_B
 
 Every file at the same relative path in both trees gets one line: either
-"identical", when the bytes agree, or the largest relative difference
-|a - b| / max(|a|, |b|) over each numeric column.  The columns are the
+"identical", when the bytes agree, or two figures per numeric column, as
+"name R (S of max)".  R is the largest relative difference
+|a - b| / max(|a|, |b|) over the column's values; S is the largest
+|a - b| over the largest |value| of the column on either side.  An entry
+near zero can decide R alone (2.7e-47 against 2.9e-47 reads 0.069 in a
+column whose values reach 1e-10), so S tells rounding noise on such an
+entry from drift at the column's scale.  The columns are the
 header fields of a CSV file, the keys of a JSON file (nested keys joined
 by dots, the entries of a list pooled under its key), and for any other
 text file, such as a VTK snapshot, one column "values" holding every
@@ -86,12 +91,24 @@ def columns(path: Path, text: str):
     return numeric, other, list(names)
 
 
+def _differing(a, b) -> np.ndarray:
+    """Where two equal-length columns differ; two NaNs agree."""
+    return ~((a == b) | (np.isnan(a) & np.isnan(b)))
+
+
 def max_relative_difference(a, b) -> float:
     a, b = np.asarray(a), np.asarray(b)
-    same = (a == b) | (np.isnan(a) & np.isnan(b))
     with np.errstate(invalid="ignore"):
         rel = np.abs(a - b) / np.maximum(np.abs(a), np.abs(b))
-    return float(np.where(same, 0.0, rel).max(initial=0.0))
+    return float(np.where(_differing(a, b), rel, 0.0).max(initial=0.0))
+
+
+def column_scaled_difference(a, b) -> float:
+    """Largest |a - b| over the largest |value| of either column."""
+    a, b = np.asarray(a), np.asarray(b)
+    with np.errstate(invalid="ignore"):
+        diff = np.where(_differing(a, b), np.abs(a - b), 0.0).max(initial=0.0)
+    return 0.0 if diff == 0.0 else float(diff / max(np.abs(a).max(), np.abs(b).max()))
 
 
 def compare_file(a: Path, b: Path) -> str:
@@ -114,7 +131,9 @@ def compare_file(a: Path, b: Path) -> str:
     if other_a != other_b or num_a.keys() != num_b.keys() or any(
             len(num_a[k]) != len(num_b[k]) for k in num_a):
         return "; ".join(["structure differs"] + notes)
-    drift = ", ".join(f"{k} {max_relative_difference(num_a[k], num_b[k]):.2g}" for k in num_a)
+    drift = ", ".join(f"{k} {max_relative_difference(num_a[k], num_b[k]):.2g} "
+                      f"({column_scaled_difference(num_a[k], num_b[k]):.2g} of max)"
+                      for k in num_a)
     return "; ".join(([drift] if drift else []) + notes)
 
 

@@ -10,10 +10,18 @@ lexicographically by their vertex pair, nodes within an edge from the
 smaller vertex), then cell interiors, so the numbering is reproducible
 for a given mesh.
 
-Quadrature rules are conical products of Gauss-Legendre and Gauss-Jacobi
-rules collapsed onto the triangle; a rule of requested degree d integrates
-all polynomials of total degree <= d exactly.  Weights are normalized to
-sum to one, so integrals are area * sum(w * f).
+A quadrature rule of degree d integrates all polynomials of total degree
+<= d exactly; weights are normalized to sum to one, so integrals are
+area * sum(w * f).  FESpace.values(d) takes a fully symmetric rule
+(_SYMMETRIC_ORBITS: 12 points at degree 6, 16 at degree 8) when d is the
+space's assembly degree 2p + 2 and such a rule is pinned, so the P2 and
+P3 assembly tables hold 12 and 16 points where the conical products hold
+16 and 25.  Every other table takes triangle_rule(d), a conical product
+of Gauss-Legendre and Gauss-Jacobi rules collapsed onto the triangle:
+P1's assembly rule (degree 4, which would move a golden value past its
+tolerance) and every error-degree rule (2p + 4), which tabulates the
+sources and the error norms.  Keying the choice on the degree, not on a
+purpose flag, keeps values() and values(space.assembly_degree) one table.
 
 Assembly weights and load sources are tables of values on the quadrature
 points, shape (cells, points), with a gradient table where the form
@@ -104,9 +112,52 @@ class QuadratureRule:
 
 _RULE_CACHE: dict[int, QuadratureRule] = {}
 
+# Fully symmetric, positive-weight interior rules on the triangle (Dunavant,
+# Int. J. Numer. Methods Eng. 21, 1985), as orbits of barycentric points:
+# degree -> (centroid weights, S21 orbits (w, a) of the points (a, b, b)
+# with b = (1 - a) / 2, S111 orbits (w, a, b) of the six permutations of
+# (a, b, 1 - a - b)); w is the weight of each point.  The published values
+# were refined by Gauss-Newton steps on the moment equations in 40-digit
+# arithmetic and rounded, so every moment is exact to rounding.
+_SYMMETRIC_ORBITS = {
+    6: ((),
+        ((0.11678627572637937, 0.5014265096581791),
+         (0.05084490637020682, 0.8738219710169955)),
+        ((0.08285107561837357, 0.053145049844816945, 0.3103524510337844),)),
+    8: ((0.14431560767778717,),
+        ((0.09509163426728462, 0.0814148234145537),
+         (0.10321737053471824, 0.6588613844964796),
+         (0.03245849762319808, 0.8989055433659381)),
+        ((0.027230314174434993, 0.008394777409957605, 0.2631128296346381),)),
+}
+
+
+@functools.cache
+def _symmetric_rule(degree: int) -> QuadratureRule:
+    """The pinned symmetric rule of a degree, its orbits expanded once."""
+    centroid, s21, s111 = _SYMMETRIC_ORBITS[degree]
+    points = [(1 / 3, 1 / 3, 1 / 3)] * len(centroid)
+    weights = list(centroid)
+    for w, a in s21:
+        b = (1.0 - a) / 2.0
+        points += [(a, b, b), (b, a, b), (b, b, a)]
+        weights += [w] * 3
+    for w, a, b in s111:
+        points += itertools.permutations((a, b, 1.0 - a - b))
+        weights += [w] * 6
+    return _read_only_rule(degree, np.array(points), np.array(weights))
+
+
+def _read_only_rule(degree: int, bary: np.ndarray, weights: np.ndarray) -> QuadratureRule:
+    # Every space on a rule shares its arrays (FEValues.weights is weights).
+    bary.flags.writeable = False
+    weights.flags.writeable = False
+    return QuadratureRule(degree, bary, weights)
+
 
 def triangle_rule(degree: int) -> QuadratureRule:
-    """Symmetric-free conical product rule exact to the requested degree."""
+    """Conical product rule exact to the requested degree, with
+    ceil((degree + 1) / 2)**2 points; it has no symmetry in the vertices."""
     if not isinstance(degree, (int, np.integer)) or degree < 0:
         raise ValueError(f"quadrature degree must be a nonnegative integer, got {degree!r}")
     degree = int(degree)
@@ -125,11 +176,7 @@ def triangle_rule(degree: int) -> QuadratureRule:
     eta = np.tile(gj_x, k)
     w = np.outer(gl_w, gj_w).ravel() * 2.0  # normalize reference area 1/2 -> 1
     bary = np.column_stack([1.0 - xi - eta, xi, eta])
-    # Every space on this rule shares its arrays (FEValues.weights is w).
-    bary.flags.writeable = False
-    w.flags.writeable = False
-    rule = QuadratureRule(degree, bary, w)
-    _RULE_CACHE[degree] = rule
+    rule = _RULE_CACHE[degree] = _read_only_rule(degree, bary, w)
     return rule
 
 
@@ -260,10 +307,15 @@ class FESpace:
         return 2 * self.degree + 4
 
     def values(self, quad_degree: int | None = None) -> "FEValues":
+        """Tables on the rule of degree quad_degree (the assembly degree by
+        default): the symmetric rule at the assembly degree where one is
+        pinned, triangle_rule otherwise (see the module docstring)."""
         if quad_degree is None:
             quad_degree = self.assembly_degree
         if quad_degree not in self._values_cache:
-            self._values_cache[quad_degree] = FEValues(self, triangle_rule(quad_degree))
+            symmetric = quad_degree == self.assembly_degree and quad_degree in _SYMMETRIC_ORBITS
+            rule = _symmetric_rule(quad_degree) if symmetric else triangle_rule(quad_degree)
+            self._values_cache[quad_degree] = FEValues(self, rule)
         return self._values_cache[quad_degree]
 
     def matrix_pattern(self) -> linalg.TripletPattern:

@@ -344,8 +344,8 @@ def convergence_study(config: ConvergenceConfig, jobs: int = 1) -> StudyResult:
     Results are ordered exactly as config.meshes regardless of jobs, so a
     study is reproducible byte for byte."""
     meshes = list(config.meshes)
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
+    if not _is_int(jobs) or jobs < 1:
+        raise ValueError(f"jobs must be a positive integer, got {jobs!r}")
     if jobs == 1 or len(meshes) == 1:
         rows = [single_mesh_run(config, n) for n in meshes]
     else:

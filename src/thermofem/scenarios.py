@@ -167,6 +167,14 @@ class ScenarioConfig:
         if self.projection not in ("nodal", "ritz"):
             raise ValueError(f"unknown projection {self.projection!r}")
         FixedPointConfig(tol=self.fp_tol, max_iter=self.fp_max_iter)
+        if self.snapshots is not None and not (
+                isinstance(self.snapshots, (tuple, list)) and all(map(_is_int, self.snapshots))):
+            raise ValueError(f"snapshots must be a sequence of integer step indices, "
+                             f"got {self.snapshots!r}")
+        outside = [s for s in self.resolved_snapshots if not 0 <= s <= self.n_steps]
+        if outside:
+            raise ValueError(f"snapshot indices {outside} lie outside [0, {self.n_steps}], "
+                             f"the steps of the run")
 
     @property
     def n_steps(self) -> int:
@@ -179,7 +187,7 @@ class ScenarioConfig:
     @property
     def resolved_snapshots(self) -> tuple:
         if self.snapshots is not None:
-            return tuple(int(s) for s in self.snapshots)
+            return tuple(self.snapshots)
         return tuple(s for s in DEFAULT_SNAPSHOTS[self.example] if s <= self.n_steps)
 
 

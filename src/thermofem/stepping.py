@@ -515,13 +515,14 @@ def run_simulation(space: FESpace, *, scheme: TimeScheme, variant: EquationVaria
     """
     if not tau > 0.0:
         raise ValueError("tau must be positive")
-    if not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
+    if not _is_int(n_steps) or n_steps < 1:
         raise ValueError(f"n_steps must be a positive integer, got {n_steps!r}")
     if projection not in ("ritz", "nodal"):
         raise ValueError(f"unknown projection {projection!r} (expected 'ritz' or 'nodal')")
-    snapshots = set(int(s) for s in snapshot_indices)
-    if any(s < 0 or s > n_steps for s in snapshots):
-        raise ValueError(f"snapshot indices must lie in [0, {n_steps}]")
+    indices = list(snapshot_indices)
+    if not all(_is_int(s) and 0 <= s <= n_steps for s in indices):
+        raise ValueError(f"snapshot indices must be integers in [0, {n_steps}], got {indices!r}")
+    snapshots = set(indices)
 
     u0_vec, u1_vec, theta0_vec = _project(
         space, {"u0": u0, "u1": u1, "theta0": theta0}, projection)

@@ -31,13 +31,13 @@ def test_reports_identical_files_and_relative_drift_per_column(tmp_path, capsys)
     assert compare_outputs.main([str(a), str(b)]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines == [
-        "columns.csv: step 0, x 0.091; added new; removed old",
+        "columns.csv: step 0 (0 of max), x 0.091 (0.091 of max); added new; removed old",
         "grid.vtk: structure differs",
-        "keys.json: a 0.33; added c; removed b",
+        "keys.json: a 0.33 (0.33 of max); added c; removed b",
         "renamed.csv: structure differs",
-        "steps.csv: step 0, x 1e-06",
+        "steps.csv: step 0 (0 of max), x 1e-06 (1e-06 of max)",
         "sub/snapshot.vtk: identical",
-        "summary.json: n 0, rates 0.091",
+        "summary.json: n 0 (0 of max), rates 0.091 (0.05 of max)",
         f"only in {a}: only_a.csv",
     ]
 
@@ -63,10 +63,28 @@ def test_step_reports_get_summed_counts_of_each_side(tmp_path, capsys):
 
     assert compare_outputs.main([str(a), str(b)]) == 1
     assert capsys.readouterr().out.splitlines() == [
-        "run/steps.csv: step 0, iterations 0.25, increment 0, factorizations 0; "
+        "run/steps.csv: step 0 (0 of max), iterations 0.25 (0.25 of max), "
+        "increment 0 (0 of max), factorizations 0 (0 of max); "
         "iterations 7 -> 6, factorizations 2 -> 2",
         "same/steps.csv: identical; iterations 2 -> 2, factorizations 1 -> 1",
     ]
 
     (a / "run" / "steps.csv").write_bytes((b / "run" / "steps.csv").read_bytes())
     assert compare_outputs.main([str(a), str(b)]) == 0
+
+
+def test_column_scaled_figure_discounts_near_zero_entries(tmp_path, capsys):
+    # Rounding noise on an entry near zero decides the per-value figure
+    # (0.2e-47 / 2.9e-47); against the column's largest |value| it is
+    # noise.  The drift of the other column is at its scale either way.
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir()
+    b.mkdir()
+    (a / "snapshot.csv").write_text("theta,u\n1e-10,2.0\n2.7e-47,-4.0\n")
+    (b / "snapshot.csv").write_text("theta,u\n1e-10,2.0\n2.9e-47,-4.4\n")
+
+    assert compare_outputs.main([str(a), str(b)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "snapshot.csv: theta 0.069 (2e-38 of max), u 0.091 (0.091 of max)"]
+    assert compare_outputs.column_scaled_difference([0.0, 1.0], [0.0, 1.0]) == 0.0
+    assert compare_outputs.column_scaled_difference([float("nan")], [float("nan")]) == 0.0

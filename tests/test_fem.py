@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -67,6 +68,55 @@ class TestQuadrature:
     def test_positive_weights(self):
         for degree in (1, 4, 8):
             assert (triangle_rule(degree).weights > 0).all()
+
+
+class TestSymmetricRules:
+    """The pinned symmetric rules (fem._SYMMETRIC_ORBITS) against their
+    defining properties, which are the oracle for their constants, and
+    the tables of a space that take them."""
+
+    @pytest.mark.parametrize("degree, n_points", [(6, 12), (8, 16)])
+    def test_rule_is_exact_positive_interior_and_read_only(self, degree, n_points):
+        rule = fem._symmetric_rule(degree)
+        assert rule.degree == degree
+        assert rule.points.shape == (n_points, 3) and rule.weights.shape == (n_points,)
+        x, y = rule.points[:, 1], rule.points[:, 2]
+        for i in range(degree + 1):
+            for j in range(degree + 1 - i):
+                want = 2 * math.factorial(i) * math.factorial(j) / math.factorial(i + j + 2)
+                assert abs(rule.weights @ (x**i * y**j) - want) <= 1e-15
+        assert (rule.weights > 0).all()
+        assert abs(rule.weights.sum() - 1.0) <= 1e-15
+        assert (rule.points > 0).all()
+        assert np.abs(rule.points.sum(axis=1) - 1.0).max() <= 1e-15
+        with pytest.raises(ValueError):
+            rule.points[0, 0] = 0.5
+        with pytest.raises(ValueError):
+            rule.weights[0] = 0.5
+        assert fem._symmetric_rule(degree) is rule
+
+    @pytest.mark.parametrize("degree", [6, 8])
+    def test_rule_is_invariant_under_vertex_permutations(self, degree):
+        rule = fem._symmetric_rule(degree)
+        for perm in itertools.permutations(range(3)):
+            dist = np.abs(rule.points[:, None, list(perm)] - rule.points[None]).max(axis=2)
+            match = dist.argmin(axis=1)
+            assert dist.min(axis=1).max() <= 1e-15
+            assert sorted(match) == list(range(len(match)))
+            np.testing.assert_array_equal(rule.weights[match], rule.weights)
+
+    @pytest.mark.parametrize("degree, n_points", [(1, 9), (2, 12), (3, 16)])
+    def test_only_p2_p3_assembly_tables_take_the_symmetric_rule(self, degree, n_points):
+        sp = build_space(unit_square_mesh(2), degree)
+        assert sp.values() is sp.values(sp.assembly_degree)
+        assert sp.values().points.shape[1] == len(sp.values().weights) == n_points
+        rule = fem._symmetric_rule if degree > 1 else triangle_rule
+        assert sp.values().rule is rule(sp.assembly_degree)
+        # Every other degree, the error degree among them, is conical.
+        for d in (4, 6, 8, sp.error_degree):
+            if d != sp.assembly_degree:
+                assert sp.values(d).rule.points is triangle_rule(d).points
+                assert sp.values(d).weights is triangle_rule(d).weights
 
 
 class TestBuildSpace:

@@ -535,8 +535,11 @@ class TestStudyBookkeeping:
         assert [r.n for r in serial.rows] == [2, 4]
         for a, b in zip(serial.rows, parallel.rows):
             assert a == b  # bit-identical dataclasses
-        with pytest.raises(ValueError):
-            convergence_study(cfg, jobs=0)
+        # 1.5 used to raise TypeError from the process pool, True to run
+        # as jobs=1.
+        for jobs in (0, 1.5, 2.0, True, "2"):
+            with pytest.raises(ValueError, match="jobs must be a positive integer"):
+                convergence_study(cfg, jobs=jobs)
 
     def test_single_mesh_run_reports_positive_errors(self):
         cfg = ConvergenceConfig(meshes=(4, 8), tau=0.25, final_time=0.5)

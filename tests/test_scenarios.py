@@ -298,10 +298,26 @@ class TestScenarioConfig:
         cfg = ScenarioConfig(example=2, snapshots=(7, 9))
         assert cfg.resolved_snapshots == (7, 9)
 
-    def test_snapshot_beyond_final_step_fails_at_run(self):
-        cfg = ScenarioConfig(example=2, h=8e-3, final_time=5e-7, snapshots=(10,))
-        with pytest.raises(ValueError, match="snapshot"):
-            run_scenario(cfg)
+    def test_snapshot_beyond_final_step_rejected_before_the_run(self):
+        # The config rejects it, so run_scenario never meshes for it.
+        with pytest.raises(ValueError, match=r"snapshot indices \[10\] lie outside \[0, 5\]"):
+            ScenarioConfig(example=2, h=8e-3, final_time=5e-7, snapshots=(10,))
+
+    def test_rejects_snapshots_outside_the_run(self):
+        # 40 steps; (2.7, 500) used to resolve to (2, 500) and fail only
+        # after the 22k-dof space was built.
+        for snapshots in ((2, 500), (-1,), (41,)):
+            with pytest.raises(ValueError, match=r"lie outside \[0, 40\]"):
+                ScenarioConfig(example=3, final_time=4e-6, snapshots=snapshots)
+        cfg = ScenarioConfig(example=3, final_time=4e-6, snapshots=(0, 40))
+        assert cfg.resolved_snapshots == (0, 40)
+
+    @pytest.mark.parametrize("snapshots", [(2.7, 40), (2.0,), (True,), (np.int64(2),), ("3",), 5],
+                             ids=repr)
+    def test_rejects_non_int_snapshots(self, snapshots):
+        # 2.7 used to truncate to step 2 and True to become step 1.
+        with pytest.raises(ValueError, match="snapshots must be a sequence of integer"):
+            ScenarioConfig(example=3, final_time=4e-6, snapshots=snapshots)
 
 
 class TestZeroAmplitude:

@@ -856,14 +856,17 @@ class TestRunSimulation:
     def test_bad_snapshot_index_fails_before_projection(self, monkeypatch):
         space = small_space(4)
         calls = count_factorizations(monkeypatch)
-        with pytest.raises(ValueError, match="snapshot"):
-            run_simulation(
-                space, scheme=EULER, variant=LINEAR_WAVE, model=CONSTANT_MEDIUM,
-                heat=HeatParams(1.0, 0.0), tau=0.1, n_steps=2, u0=SINE_INITIAL,
-                u1=SINE_VELOCITY, theta0=SINE_INITIAL, snapshot_indices=[-1])
+        # 1.5 used to become step 1 and True step 1.
+        for indices in ([-1], [3], [1.5], [True]):
+            with pytest.raises(ValueError, match="snapshot"):
+                run_simulation(
+                    space, scheme=EULER, variant=LINEAR_WAVE, model=CONSTANT_MEDIUM,
+                    heat=HeatParams(1.0, 0.0), tau=0.1, n_steps=2, u0=SINE_INITIAL,
+                    u1=SINE_VELOCITY, theta0=SINE_INITIAL, snapshot_indices=indices)
         assert calls == []
 
-    @pytest.mark.parametrize("n_steps", [-3, 0, 2.5])
+    # True used to run one step.
+    @pytest.mark.parametrize("n_steps", [-3, 0, 2.5, True])
     def test_bad_step_count_fails_before_compute(self, n_steps, monkeypatch):
         space = small_space(4)
         calls = count_factorizations(monkeypatch)
