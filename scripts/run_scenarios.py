@@ -3,8 +3,8 @@
 
 Writes VTK/CSV snapshots, per-step solver diagnostics, and a JSON summary
 for the focused-pulse run (example 2) and the driven-source run
-(example 3) under the output root.  Both take about 1.5 minutes in total
-(39 s and 56 s on a 2-vCPU machine with BLAS on one thread).
+(example 3) under the output root.  Both take about two minutes in total
+(46 s and 64 s on a 2-vCPU machine with BLAS on one thread).
 """
 import argparse
 import pathlib

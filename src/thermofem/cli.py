@@ -2,9 +2,14 @@
 
 Three subcommands: `mms` runs a manufactured-solution convergence study,
 `scenario` runs one of the packaged heating scenarios, `meshgen` writes a
-mesh to disk.  Studies and scenarios are configured through a JSON file;
-unknown keys are rejected so typos fail loudly instead of silently
-running defaults.
+mesh to disk.  Studies and scenarios are configured through a JSON file
+whose keys are the fields of ConvergenceConfig (less its medium, heat
+parameters and manufactured pair) or of ScenarioConfig.  Unknown keys are
+rejected so typos fail loudly instead of silently running defaults.  The
+CLI only maps the JSON object onto the config class, lists becoming
+tuples; every value check is the class's own, so a Python caller meets
+the same checks.  A JSON null means what None does (the per-example
+amplitude or snapshots), and "snapshots": [] asks for none.
 
 Exit codes: 0 success, 1 runtime failure, 2 configuration error.  The
 output root is, in order of precedence: --output, the THERMOFEM_OUTPUT_DIR
@@ -13,6 +18,7 @@ environment variable, the working directory.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -44,81 +50,32 @@ def _load_config(path) -> dict:
     return data
 
 
-def _check_keys(data: dict, allowed: set, what: str) -> None:
+def _config_from_dict(cls, data: dict, what: str, internal: tuple = ()):
+    """cls(**data), with JSON lists as tuples.  Every key must name a field
+    of cls outside `internal`; a ValueError of cls is a ConfigError."""
+    allowed = {f.name for f in dataclasses.fields(cls)} - set(internal)
     unknown = sorted(set(data) - allowed)
     if unknown:
         raise ConfigError(f"unknown {what} key(s): {', '.join(unknown)}")
-
-
-def _expect(data: dict, key: str, kinds, what: str):
-    value = data[key]
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        names = kinds.__name__ if isinstance(kinds, type) else "/".join(k.__name__ for k in kinds)
-        raise ConfigError(f"{what} key {key!r} must be {names}, got {type(value).__name__}")
-    return value
-
-
-def _int_list(data: dict, key: str, what: str) -> tuple:
-    value = data[key]
-    if not isinstance(value, list) or not value or any(
-        isinstance(v, bool) or not isinstance(v, int) for v in value
-    ):
-        raise ConfigError(f"{what} key {key!r} must be a non-empty list of integers")
-    return tuple(value)
-
-
-_MMS_KEYS = {"variant", "scheme", "degree", "meshes", "tau", "final_time",
-             "fp_tol", "fp_max_iter"}
+    try:
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
 
 
 def mms_config_from_dict(data: dict) -> ConvergenceConfig:
-    _check_keys(data, _MMS_KEYS, "mms")
-    kwargs = {}
-    for key in ("variant", "scheme"):
-        if key in data:
-            kwargs[key] = _expect(data, key, str, "mms")
-    for key in ("degree", "fp_max_iter"):
-        if key in data:
-            kwargs[key] = _expect(data, key, int, "mms")
-    for key in ("tau", "final_time", "fp_tol"):
-        if key in data:
-            kwargs[key] = float(_expect(data, key, (int, float), "mms"))
-    if "meshes" in data:
-        kwargs["meshes"] = _int_list(data, "meshes", "mms")
-    try:
-        config = ConvergenceConfig(**kwargs)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    # The medium, heat parameters and manufactured pair are fixed by the
+    # study; only the discretization is configurable.
+    config = _config_from_dict(ConvergenceConfig, data, "mms", ("model", "heat", "pair"))
     if len(config.meshes) < 3:
         raise ConfigError("a study needs at least three meshes to observe a rate")
     return config
 
 
-_SCENARIO_KEYS = {"example", "h", "degree", "scheme", "tau", "final_time", "amplitude",
-                  "source_frequency", "snapshots", "projection", "fp_tol", "fp_max_iter"}
-
-
 def scenario_config_from_dict(data: dict) -> ScenarioConfig:
-    _check_keys(data, _SCENARIO_KEYS, "scenario")
     if "example" not in data:
         raise ConfigError("scenario config needs an 'example' key (2 or 3)")
-    kwargs = {"example": _expect(data, "example", int, "scenario")}
-    if "degree" in data:
-        kwargs["degree"] = _expect(data, "degree", int, "scenario")
-    for key in ("scheme", "projection"):
-        if key in data:
-            kwargs[key] = _expect(data, key, str, "scenario")
-    for key in ("h", "tau", "final_time", "amplitude", "source_frequency", "fp_tol"):
-        if key in data:
-            kwargs[key] = float(_expect(data, key, (int, float), "scenario"))
-    if "fp_max_iter" in data:
-        kwargs["fp_max_iter"] = _expect(data, "fp_max_iter", int, "scenario")
-    if "snapshots" in data:
-        kwargs["snapshots"] = _int_list(data, "snapshots", "scenario")
-    try:
-        return ScenarioConfig(**kwargs)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    return _config_from_dict(ScenarioConfig, data, "scenario")
 
 
 def _output_root(args) -> str:

@@ -67,9 +67,10 @@ class TissueModel:
     def __post_init__(self):
         if len(self.speed_coeffs) == 0:
             raise ValueError("speed polynomial needs at least one coefficient")
-        if self.density <= 0:
+        # Written as "not > 0" so that NaN fails too.
+        if not self.density > 0:
             raise ValueError("density must be positive")
-        if self.frequency <= 0:
+        if not self.frequency > 0:
             raise ValueError("frequency must be positive")
 
     @property
@@ -219,7 +220,7 @@ _VARIANTS = {"westervelt": WESTERVELT, "kuznetsov": KUZNETSOV, "linear": LINEAR_
 def variant_by_name(name: str) -> EquationVariant:
     try:
         return _VARIANTS[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name such as a list
         raise ValueError(f"unknown equation variant {name!r} "
                          f"(expected one of {sorted(_VARIANTS)})") from None
 
@@ -237,9 +238,9 @@ class HeatParams:
     nu: float
 
     def __post_init__(self):
-        if self.kappa <= 0:
+        if not self.kappa > 0:  # NaN fails too
             raise ValueError("kappa must be positive")
-        if self.nu < 0:
+        if not self.nu >= 0:
             raise ValueError("nu must be nonnegative")
 
 

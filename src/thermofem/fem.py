@@ -50,7 +50,7 @@ import scipy.special
 
 from . import linalg
 from .linalg import SparseMatrix
-from .mesh import Mesh, number_edges
+from .mesh import Mesh, _is_int, number_edges
 
 __all__ = [
     "QuadratureRule",
@@ -158,9 +158,8 @@ def _read_only_rule(degree: int, bary: np.ndarray, weights: np.ndarray) -> Quadr
 def triangle_rule(degree: int) -> QuadratureRule:
     """Conical product rule exact to the requested degree, with
     ceil((degree + 1) / 2)**2 points; it has no symmetry in the vertices."""
-    if not isinstance(degree, (int, np.integer)) or degree < 0:
+    if not _is_int(degree) or degree < 0:
         raise ValueError(f"quadrature degree must be a nonnegative integer, got {degree!r}")
-    degree = int(degree)
     if degree in _RULE_CACHE:
         return _RULE_CACHE[degree]
     k = max(1, math.ceil((degree + 1) / 2))
@@ -193,7 +192,7 @@ def _local_nodes(degree: int) -> np.ndarray:
     layout: the basis, the dof numbering, the dof coordinates and the
     Dirichlet set are all derived from it.
     """
-    if degree not in (1, 2, 3):
+    if not _is_int(degree) or degree not in (1, 2, 3):
         raise ValueError(f"polynomial degree must be 1, 2 or 3, got {degree!r}")
     p = degree
     rows = [[p * (m == k) for m in range(3)] for k in range(3)]
@@ -312,6 +311,9 @@ class FESpace:
         pinned, triangle_rule otherwise (see the module docstring)."""
         if quad_degree is None:
             quad_degree = self.assembly_degree
+        elif not _is_int(quad_degree):  # True or 6.0 would share the table of 1 or 6
+            raise ValueError(f"quadrature degree must be a nonnegative integer, "
+                             f"got {quad_degree!r}")
         if quad_degree not in self._values_cache:
             symmetric = quad_degree == self.assembly_degree and quad_degree in _SYMMETRIC_ORBITS
             rule = _symmetric_rule(quad_degree) if symmetric else triangle_rule(quad_degree)
@@ -476,9 +478,9 @@ def assemble_mass(space: FESpace, weight=None, quad_degree: int | None = None) -
     return space.matrix_pattern().assemble(local)
 
 
-def assemble_stiffness(space: FESpace, quad_degree: int | None = None) -> SparseMatrix:
+def assemble_stiffness(space: FESpace) -> SparseMatrix:
     """Stiffness matrix K_ij = integral of grad phi_j . grad phi_i."""
-    return assemble_weighted_stiffness(space, None, quad_degree=quad_degree)
+    return assemble_weighted_stiffness(space, None)
 
 
 def assemble_weighted_stiffness(space: FESpace, weight,
@@ -615,18 +617,15 @@ def nodal_interpolate(space: FESpace, field: ScalarField, t: float = 0.0) -> FEF
     return FEFunction(space, field.value(space.dof_coords, t))
 
 
-def error_norms(u: FEFunction, exact: ScalarField | None, t: float = 0.0,
-                quad_degree: int | None = None) -> tuple[float, float]:
+def error_norms(u: FEFunction, exact: ScalarField | None,
+                t: float = 0.0) -> tuple[float, float]:
     """(L2, H1-seminorm) norms of u minus an exact field.
 
-    Pass exact=None to take norms of u itself.  Uses an elevated quadrature
-    degree (2p + 4 by default) so the measurement error stays below the
-    discretization error being measured.
+    Pass exact=None to take norms of u itself.  Uses the elevated error
+    degree 2p + 4 so the measurement error stays below the discretization
+    error being measured.
     """
-    space = u.space
-    if quad_degree is None:
-        quad_degree = space.error_degree
-    fev = space.values(quad_degree)
+    fev = u.space.values(u.space.error_degree)
     vals = fev.fe_values(u.values)
     grads = fev.fe_gradients(u.values)
     have_grad = True

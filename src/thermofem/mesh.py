@@ -44,6 +44,12 @@ ARC_RADIUS = 0.05
 MAX_CELLS = 1_000_000
 
 
+def _is_int(value) -> bool:
+    """Whether a count or degree is a Python int: a bool is an int, and a
+    float such as 2.0 or a numpy integer equals one, yet none counts."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class MeshFormatError(ValueError):
     """A mesh file could not be parsed; message carries the line number."""
 
@@ -158,7 +164,6 @@ def unit_square_mesh(n: int) -> Mesh:
     h_max = sqrt(2)/n.
     """
     unit_square_cells(n)
-    n = int(n)
     side = np.arange(n + 1, dtype=np.float64) / n
     xx, yy = np.meshgrid(side, side, indexing="xy")
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
@@ -177,9 +182,9 @@ def unit_square_mesh(n: int) -> Mesh:
 def unit_square_cells(n: int) -> int:
     """Cell count 2 n^2 of unit_square_mesh(n), found without building the
     mesh; ValueError where that would refuse n."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ValueError(f"subdivision count must be a positive integer, got {n!r}")
-    cells = 2 * int(n) ** 2
+    cells = 2 * n ** 2
     if cells > MAX_CELLS:
         raise ValueError(f"n = {n!r} would mesh {cells:,} cells, "
                          f"above the cap of MAX_CELLS = {MAX_CELLS:,}")
@@ -246,8 +251,8 @@ def focused_domain_mesh(h_target: float) -> Mesh:
     return Mesh(vertices, tris.reshape(-1, 3))
 
 
-def mirror_vertex_map(mesh: Mesh, axis: float = 0.0) -> np.ndarray:
-    """Index map sending each vertex to its mirror image across x2 = axis.
+def mirror_vertex_map(mesh: Mesh) -> np.ndarray:
+    """Index map sending each vertex to its mirror image across x2 = 0.
 
     Requires the mesh to be exactly symmetric (bitwise matching coordinates),
     as produced by focused_domain_mesh.
@@ -255,7 +260,7 @@ def mirror_vertex_map(mesh: Mesh, axis: float = 0.0) -> np.ndarray:
     lookup = {(float(x), float(y)): i for i, (x, y) in enumerate(mesh.vertices)}
     out = np.empty(mesh.n_vertices, dtype=np.int64)
     for i, (x, y) in enumerate(mesh.vertices):
-        key = (float(x), float(2.0 * axis - y))
+        key = (float(x), float(-y))
         if key not in lookup:
             raise ValueError(f"mesh is not mirror-symmetric: vertex {i} has no partner")
         out[i] = lookup[key]

@@ -25,9 +25,9 @@ from . import fem
 from .coefficients import (HeatParams, LIVER_QUADRATIC, SpeedTable, TissueModel,
                            variant_by_name)
 from .fem import FEFunction, FESpace, ScalarField, build_space, error_norms
-from .mesh import unit_square_cells, unit_square_mesh
-from .stepping import (FixedPointConfig, SimulationState, _is_int, delta1, run_simulation,
-                       scheme_by_name, step_count)
+from .mesh import _is_int, unit_square_cells, unit_square_mesh
+from .stepping import (FixedPointConfig, SimulationState, _store_floats, delta1,
+                       run_simulation, scheme_by_name, step_count)
 
 __all__ = [
     "ManufacturedPair",
@@ -220,14 +220,15 @@ class ConvergenceConfig:
     pair: ManufacturedPair = field(default_factory=ManufacturedPair)
 
     def __post_init__(self):
+        _store_floats(self, "tau", "final_time")
         variant_by_name(self.variant)
         scheme_by_name(self.scheme)
         if not _is_int(self.degree) or self.degree not in (1, 2, 3):
             raise ValueError(f"degree must be the integer 1, 2 or 3, got {self.degree!r}")
+        if not (isinstance(self.meshes, (tuple, list)) and all(map(_is_int, self.meshes))):
+            raise ValueError(f"meshes must be integers (subdivision counts), got {self.meshes!r}")
         if len(self.meshes) < 2:
             raise ValueError("a convergence study needs at least two meshes")
-        if not all(_is_int(n) for n in self.meshes):
-            raise ValueError(f"mesh subdivision counts must be integers, got {list(self.meshes)}")
         if any(n < 1 for n in self.meshes):
             raise ValueError("mesh subdivision counts must be positive")
         if len(set(self.meshes)) != len(self.meshes):

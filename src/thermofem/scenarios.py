@@ -26,9 +26,9 @@ import numpy as np
 
 from .coefficients import (KUZNETSOV, LIVER_QUINTIC, WESTERVELT, derived_heat_params)
 from .fem import ScalarField, build_space, source_loads
-from .mesh import ARC_RADIUS, focused_domain_cells, focused_domain_mesh
+from .mesh import ARC_RADIUS, _is_int, focused_domain_cells, focused_domain_mesh
 from .output import write_snapshot_csv, write_vtk
-from .stepping import (FixedPointConfig, SimulationResult, _is_int, run_simulation,
+from .stepping import (FixedPointConfig, SimulationResult, _store_floats, run_simulation,
                        scheme_by_name, step_count, write_step_reports)
 
 __all__ = [
@@ -151,8 +151,14 @@ class ScenarioConfig:
     fp_max_iter: int = 100
 
     def __post_init__(self):
-        if self.example not in (2, 3):
-            raise ValueError("example must be 2 or 3")
+        if not _is_int(self.example) or self.example not in (2, 3):
+            raise ValueError(f"example must be 2 or 3, got {self.example!r}")
+        _store_floats(self, "h", "tau", "final_time", "source_frequency")
+        if self.amplitude is not None:
+            _store_floats(self, "amplitude")
+            if not 0.0 <= self.amplitude < math.inf:
+                raise ValueError(f"amplitude must be finite and nonnegative, "
+                                 f"got {self.amplitude!r}")
         if not 0.0 < self.h < ARC_RADIUS:
             raise ValueError(f"h must lie in (0, {ARC_RADIUS}), got {self.h!r}")
         focused_domain_cells(self.h)
@@ -160,10 +166,9 @@ class ScenarioConfig:
             raise ValueError(f"degree must be the integer 1, 2 or 3, got {self.degree!r}")
         scheme_by_name(self.scheme)
         step_count(self.final_time, self.tau)
-        if self.amplitude is not None and self.amplitude < 0.0:
-            raise ValueError("amplitude must be nonnegative")
-        if self.source_frequency <= 0.0:
-            raise ValueError("source_frequency must be positive")
+        if not 0.0 < self.source_frequency < math.inf:
+            raise ValueError(f"source_frequency must be finite and positive, "
+                             f"got {self.source_frequency!r}")
         if self.projection not in ("nodal", "ritz"):
             raise ValueError(f"unknown projection {self.projection!r}")
         FixedPointConfig(tol=self.fp_tol, max_iter=self.fp_max_iter)

@@ -51,6 +51,7 @@ from . import coefficients as coef
 from . import fem, linalg
 from .coefficients import DegeneracyError, EquationVariant, HeatParams, TissueModel
 from .fem import FEFunction, FESpace, ScalarField
+from .mesh import _is_int
 
 __all__ = [
     "TimeScheme",
@@ -121,7 +122,7 @@ BDF2 = TimeScheme("bdf2", 1.5, 2.0, (2.0, -0.5), (5.0, -4.0, 1.0))
 def scheme_by_name(name: str) -> TimeScheme:
     try:
         return {"euler": EULER, "bdf2": BDF2}[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name such as a list
         raise ValueError(f"unknown time scheme {name!r}") from None
 
 
@@ -159,10 +160,17 @@ def step_count(final_time: float, tau: float) -> int:
     return n_steps
 
 
-def _is_int(value) -> bool:
-    """Whether a count is a Python int: a bool is an int, and a float such
-    as 2.0 equals one, yet neither counts."""
-    return isinstance(value, int) and not isinstance(value, bool)
+def _store_floats(config, *names: str) -> None:
+    """Store each named field of a frozen config as a float.  A field must
+    be an int or a float, and a bool is neither; ValueError otherwise."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"{name} must be an int or a float, got {value!r}")
+        try:
+            object.__setattr__(config, name, float(value))
+        except OverflowError:
+            raise ValueError(f"{name} is too large for a float") from None
 
 
 @dataclass(frozen=True)
@@ -171,6 +179,7 @@ class FixedPointConfig:
     max_iter: int = 100
 
     def __post_init__(self):
+        _store_floats(self, "tol")
         if not (0.0 < self.tol < 1.0):
             raise ValueError("fixed-point tolerance must lie in (0, 1)")
         if not _is_int(self.max_iter) or self.max_iter < 1:

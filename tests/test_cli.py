@@ -4,15 +4,20 @@ All invocations go through main(argv) in-process; exit codes follow the
 contract 0 = success, 1 = runtime failure, 2 = configuration error
 (argparse's own usage errors surface as SystemExit with code 2).
 """
+import dataclasses
 import json
+import math
 import pathlib
 
 import numpy as np
 import pytest
 
+from thermofem import mms, scenarios
 from thermofem.cli import (ConfigError, main, mms_config_from_dict,
                            scenario_config_from_dict)
 from thermofem.mesh import focused_domain_mesh, load_mesh
+from thermofem.mms import ConvergenceConfig
+from thermofem.scenarios import ScenarioConfig
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -25,6 +30,64 @@ def write_config(tmp_path, data, name="config.json"):
 
 TINY_MMS = {"variant": "westervelt", "scheme": "euler", "degree": 1,
             "meshes": [2, 4, 8], "tau": 0.125, "final_time": 0.25}
+TINY_SCENARIO = {"example": 2, "h": 8e-3, "final_time": 5e-7}
+
+# The JSON keys of each config file: a new config-class field becomes one
+# only by a change here.
+STUDY_KEYS = {"variant", "scheme", "degree", "meshes", "tau", "final_time", "fp_tol",
+              "fp_max_iter"}
+SCENARIO_KEYS = {"example", "h", "degree", "scheme", "tau", "final_time", "amplitude",
+                 "source_frequency", "snapshots", "projection", "fp_tol", "fp_max_iter"}
+
+# (subcommand, key, bad value, message part): each value is rejected by the
+# config class and, as JSON, by the command line, with the same message.
+BAD_VALUES = [
+    ("mms", "variant", ["westervelt"], "unknown equation variant"),
+    ("mms", "scheme", ["bdf2"], "unknown time scheme"),
+    ("mms", "scheme", None, "unknown time scheme"),
+    ("mms", "degree", 2.0, "degree must be the integer"),
+    ("mms", "degree", True, "degree must be the integer"),
+    ("mms", "meshes", [2.0, 4.0, 8.0], "meshes"),
+    ("mms", "meshes", [2, 4, True], "meshes"),
+    ("mms", "meshes", 8, "meshes"),
+    ("mms", "meshes", None, "meshes"),
+    ("mms", "tau", True, "tau must be an int or a float"),
+    ("mms", "tau", "small", "tau must be an int or a float"),
+    ("mms", "tau", 10**400, "tau is too large"),
+    ("mms", "final_time", True, "final_time must be an int or a float"),
+    ("mms", "fp_tol", None, "tol must be an int or a float"),
+    ("mms", "fp_max_iter", 5.0, "max_iter must be an integer"),
+    ("scenario", "example", 2.0, "example must be 2 or 3"),
+    ("scenario", "example", True, "example must be 2 or 3"),
+    ("scenario", "example", "2", "example must be 2 or 3"),
+    ("scenario", "h", math.nan, "h must lie"),
+    ("scenario", "h", [3e-3], "h must be an int or a float"),
+    ("scenario", "tau", True, "tau must be an int or a float"),
+    ("scenario", "amplitude", True, "amplitude must be an int or a float"),
+    ("scenario", "amplitude", math.nan, "amplitude must be finite"),
+    ("scenario", "amplitude", math.inf, "amplitude must be finite"),
+    ("scenario", "amplitude", -1.0, "amplitude must be finite and nonnegative"),
+    ("scenario", "source_frequency", math.inf, "frequency must be finite"),
+    ("scenario", "source_frequency", math.nan, "frequency must be finite"),
+    ("scenario", "source_frequency", False, "source_frequency must be an int or a float"),
+    ("scenario", "scheme", ["bdf2"], "unknown time scheme"),
+    ("scenario", "projection", ["nodal"], "projection"),
+    ("scenario", "degree", "1", "degree must be the integer"),
+    ("scenario", "snapshots", "abc", "snapshots must be a sequence"),
+    ("scenario", "snapshots", [1.5], "snapshots must be a sequence"),
+    ("scenario", "fp_tol", math.nan, "tolerance"),
+]
+
+
+@pytest.fixture
+def no_meshing(monkeypatch):
+    """Make building a mesh for a run fail the test, so that a bad value
+    must be refused before any compute."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a mesh was built for a refused config")
+
+    monkeypatch.setattr(scenarios, "focused_domain_mesh", refuse)
+    monkeypatch.setattr(mms, "unit_square_mesh", refuse)
 
 
 class TestConfigParsing:
@@ -132,6 +195,65 @@ class TestConfigParsing:
     def test_booleans_are_not_numbers(self):
         with pytest.raises(ConfigError, match="degree"):
             mms_config_from_dict(dict(TINY_MMS, degree=True))
+
+
+class TestOneCheckPerValue:
+    @pytest.mark.parametrize("command,key,value,match", BAD_VALUES,
+                             ids=[f"{c}-{k}-{repr(v)[:12]}" for c, k, v, _ in BAD_VALUES])
+    def test_class_and_command_line_reject_alike(self, command, key, value, match,
+                                                 tmp_path, capsys, no_meshing):
+        cls, base = ((ConvergenceConfig, TINY_MMS) if command == "mms"
+                     else (ScenarioConfig, TINY_SCENARIO))
+        data = dict(base, **{key: value})
+        with pytest.raises(ValueError, match=match):
+            cls(**data)
+        cfg = write_config(tmp_path, data)
+        for flag in ("--dry-run", "--output"):
+            argv = [command, "--config", cfg, flag] + ([str(tmp_path)] if flag == "--output" else [])
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error") and match in err
+
+    @pytest.mark.parametrize("from_dict,cls,base,keys", [
+        (mms_config_from_dict, ConvergenceConfig, TINY_MMS, STUDY_KEYS),
+        (scenario_config_from_dict, ScenarioConfig, TINY_SCENARIO, SCENARIO_KEYS),
+    ], ids=["mms", "scenario"])
+    def test_accepted_keys_are_pinned(self, from_dict, cls, base, keys):
+        # Each key is probed with a value no check accepts, so an accepted
+        # key gives a value error and any other an unknown-key error.
+        def accepted(key):
+            with pytest.raises(ConfigError) as exc:
+                from_dict(dict(base, **{key: object()}))
+            return "key(s):" not in str(exc.value)
+
+        probes = {f.name for f in dataclasses.fields(cls)} | {"solver", "mesh_sizes"}
+        assert {key for key in probes if accepted(key)} == keys
+
+    def test_int_valued_json_floats_come_back_as_floats(self):
+        scenario = scenario_config_from_dict({"example": 2, "amplitude": 1000000, "h": 8e-3,
+                                              "tau": 1, "final_time": 5})
+        study = mms_config_from_dict(dict(TINY_MMS, final_time=1))
+        for value in (scenario.amplitude, scenario.tau, scenario.final_time, study.final_time):
+            assert type(value) is float
+        assert scenario.amplitude == 1e6 and study.final_time == 1.0
+        assert json.dumps(scenario.resolved_amplitude) == "1000000.0"
+        assert type(ConvergenceConfig(tau=1, final_time=2).tau) is float
+
+    def test_null_and_empty_list_mean_what_none_and_empty_tuple_mean(self):
+        data = {"example": 3, "amplitude": None, "snapshots": None}
+        assert scenario_config_from_dict(data) == ScenarioConfig(example=3)
+        config = scenario_config_from_dict({"example": 3, "snapshots": []})
+        assert config.snapshots == () and config.resolved_snapshots == ()
+
+    def test_shipped_configs_parse_to_tuples(self):
+        for name in ("example1_euler_p1.json", "example2.json"):
+            data = json.loads((CONFIGS / name).read_text())
+            from_dict = scenario_config_from_dict if "example" in data else mms_config_from_dict
+            config = from_dict(data)
+            for key, value in data.items():
+                got = getattr(config, key)
+                assert got == (tuple(value) if isinstance(value, list) else value)
+                assert type(got) is (tuple if isinstance(value, list) else type(value))
 
 
 class TestArgparseContract:

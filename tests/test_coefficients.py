@@ -201,6 +201,12 @@ class TestVariants:
         with pytest.raises(ValueError, match="burgers"):
             variant_by_name("burgers")
 
+    @pytest.mark.parametrize("name", [["westervelt"], ("westervelt",), 1, None], ids=repr)
+    def test_name_that_is_not_a_str_rejected(self, name):
+        # A list used to raise TypeError (unhashable), not ValueError.
+        with pytest.raises(ValueError, match="unknown equation variant"):
+            variant_by_name(name)
+
     def test_bad_tag_rejected(self):
         with pytest.raises(ValueError):
             EquationVariant("burgers")
@@ -264,6 +270,12 @@ class TestHeatParams:
         with pytest.raises(ValueError):
             derived_heat_params(heat_capacity=0.0)
 
+    @pytest.mark.parametrize("kappa,nu,match", [(math.nan, 0.0, "kappa"), (1.0, math.nan, "nu")])
+    def test_nan_rejected(self, kappa, nu, match):
+        # "kappa <= 0" and "nu < 0" are false for NaN.
+        with pytest.raises(ValueError, match=match):
+            HeatParams(kappa, nu)
+
     def test_verification_overrides_construct(self):
         params = HeatParams(kappa=1.0, nu=1e-5)
         assert params.kappa == 1.0
@@ -282,6 +294,12 @@ class TestTissueModelValidation:
     def test_nonpositive_frequency_rejected(self):
         with pytest.raises(ValueError):
             TissueModel(speed_coeffs=(1500.0,), frequency=-1.0)
+
+    @pytest.mark.parametrize("field", ["density", "frequency"])
+    def test_nan_rejected(self, field):
+        # "<= 0" is false for NaN.
+        with pytest.raises(ValueError, match=field):
+            TissueModel((1.0,), **{field: math.nan})
 
     def test_absorption_and_omega(self):
         assert LIVER_QUINTIC.absorption == pytest.approx(0.45, rel=1e-15)

@@ -69,6 +69,12 @@ class TestQuadrature:
         for degree in (1, 4, 8):
             assert (triangle_rule(degree).weights > 0).all()
 
+    @pytest.mark.parametrize("degree", [True, False, 2.0, np.int64(2), -1], ids=repr)
+    def test_rejects_a_degree_that_is_not_a_nonnegative_int(self, degree):
+        # True used to return the degree-1 rule.
+        with pytest.raises(ValueError, match="quadrature degree must be a nonnegative integer"):
+            triangle_rule(degree)
+
 
 class TestSymmetricRules:
     """The pinned symmetric rules (fem._SYMMETRIC_ORBITS) against their
@@ -163,6 +169,22 @@ class TestBuildSpace:
     def test_rejects_degree_4(self):
         with pytest.raises(ValueError):
             build_space(unit_square_mesh(2), 4)
+
+    @pytest.mark.parametrize("degree", [True, 1.0, np.int64(1)], ids=repr)
+    def test_rejects_a_degree_that_is_not_an_int(self, degree):
+        # True used to build a space whose degree was True.
+        with pytest.raises(ValueError, match="polynomial degree must be 1, 2 or 3"):
+            build_space(unit_square_mesh(2), degree)
+
+    @pytest.mark.parametrize("degree", [True, 6.0, np.int64(6), np.int64(10)], ids=repr)
+    def test_values_rejects_a_degree_that_is_not_an_int(self, degree):
+        # 6.0 used to build P2's symmetric table, and each value would share
+        # the table an int degree had cached.
+        space = build_space(unit_square_mesh(2), 2)
+        space.values(6)
+        space.values(10)
+        with pytest.raises(ValueError, match="quadrature degree must be a nonnegative integer"):
+            space.values(degree)
 
 
 def hand_tables(degree, bary):

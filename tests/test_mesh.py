@@ -64,6 +64,15 @@ class TestUnitSquare:
         with pytest.raises(ValueError):
             unit_square_mesh(0)
 
+    @pytest.mark.parametrize("n", [True, 2.0, np.int64(2), "2"], ids=repr)
+    def test_rejects_non_int_count(self, n):
+        # True used to mesh n = 1 and np.int64(2) n = 2; the study configs
+        # reject both, so the mesh does too.
+        with pytest.raises(ValueError, match="subdivision count must be a positive integer"):
+            unit_square_mesh(n)
+        with pytest.raises(ValueError, match="subdivision count"):
+            unit_square_cells(n)
+
     def test_cell_cap_before_any_array(self, monkeypatch):
         assert unit_square_cells(707) == 999_698 <= MAX_CELLS
         assert unit_square_cells(16) == unit_square_mesh(16).n_triangles

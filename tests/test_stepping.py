@@ -146,6 +146,12 @@ class TestSchemes:
         with pytest.raises(ValueError, match="leapfrog"):
             scheme_by_name("leapfrog")
 
+    @pytest.mark.parametrize("name", [["bdf2"], ("bdf2",), 2, None], ids=repr)
+    def test_name_that_is_not_a_str_rejected(self, name):
+        # A list used to raise TypeError (unhashable), not ValueError.
+        with pytest.raises(ValueError, match="unknown time scheme"):
+            scheme_by_name(name)
+
     def test_insufficient_history(self):
         x = np.ones(3)
         with pytest.raises(ValueError):
@@ -217,10 +223,14 @@ class TestFixedPointConfig:
         assert fp.tol == 1e-10
         assert fp.max_iter == 100
 
-    @pytest.mark.parametrize("tol", [0.0, 1.0, -1e-3])
+    @pytest.mark.parametrize("tol", [0.0, 1.0, -1e-3, float("nan"), True, "1e-8", None], ids=repr)
     def test_bad_tolerance(self, tol):
-        with pytest.raises(ValueError):
+        # "1e-8" and None used to raise TypeError from the comparison.
+        with pytest.raises(ValueError, match="tol"):
             FixedPointConfig(tol=tol)
+
+    def test_tolerance_stored_as_float(self):
+        assert type(FixedPointConfig(tol=np.float64(1e-8)).tol) is float
 
     def test_bad_max_iter(self):
         with pytest.raises(ValueError):
